@@ -7,6 +7,7 @@ import tempfile
 
 import click
 
+from . import __version__
 from .errors import ContractViolation, InputError
 from .files import (
     emit_fim_file,
@@ -53,9 +54,13 @@ def _emit(text, output):
     else:
         target = os.path.abspath(output)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".subquo-")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _parse_box(text, n):
@@ -95,7 +100,7 @@ _OUT_OPT = click.option("-o", "--output", default=None, type=click.Path(dir_okay
 
 
 @click.group()
-@click.version_option(package_name="subquo")
+@click.version_option(version=__version__)
 def cli():
     """Exact Groebner bases for subquotients of free modules."""
 

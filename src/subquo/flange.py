@@ -107,7 +107,12 @@ def monomial_division(f, mat, order):
 
 
 def _column_pair_spoly(cols, beta, j1, j2, order, field):
-    """Exact-leading-term S-polynomial of two columns, or None across components."""
+    """Exact-leading-term S-polynomial of two columns, or None across components.
+
+    A zero column has no leading term and pairs with nothing.
+    """
+    if cols[j1].is_zero or cols[j2].is_zero:
+        return None
     (m1, c1), (m2, c2) = cols[j1].leading(order), cols[j2].leading(order)
     if m1[0] != m2[0]:
         return None

@@ -1,8 +1,8 @@
 """Division, Buchberger completion and Schreyer syzygies over free modules."""
 
-from collections import deque
+import heapq
 
-from .elements import ModuleElement, exp_lcm, exp_sub, mon_divides
+from .elements import ModuleElement, exp_add, exp_divides, exp_lcm, exp_sub, mon_divides
 from .errors import ContractViolation
 from .orders import SchreyerOrder
 
@@ -47,26 +47,88 @@ def s_polynomial(f, g, order):
     return f.mul_term(one / cf, exp_sub(lam, mf[1])) - g.mul_term(one / cg, exp_sub(lam, mg[1]))
 
 
-def buchberger(gens, order):
-    """Complete a generating list to a Groebner basis, keeping the input prefix."""
-    G = [f for f in gens if not f.is_zero]
+def _complete(G, order, exprs=None, done=0):
+    """Complete G in place to a Groebner basis and return it.
+
+    New elements are appended, so the input stays a prefix. G[:done] must
+    already be a Groebner basis: no pair inside it is formed. When exprs is
+    given, exprs[k] expresses G[k] over the input and is kept in step.
+
+    Pairs join leading terms in one component and are pruned by the
+    Gebauer-Moller update: the chain criterion on pending pairs, one pair per
+    minimal lcm among new ones, and coprime leading terms in rank 1 only.
+    Untracked pairs are taken by the order of their lcm (normal strategy).
+    Tracked pairs keep the depth-first order (input pairs sorted by (i, j),
+    then each new element's pairs ahead of all pending ones), because
+    kernel_of_free_map returns a minimal, not reduced, basis that depends on
+    which elements this loop produces.
+    """
     if not G:
         return G
     one = G[0].ring.field.one
-    pairs = deque(sorted((i, j) for j in range(len(G)) for i in range(j)))
+    rank1 = G[0].rank == 1
+    s = len(G)
+    leads = []
+    pairs = []
+
+    def add(m):
+        (c, e), _ = leads[m]
+        keep = []
+        for p in pairs:
+            _, i, j, (pc, lam) = p
+            chain = pc == c and exp_divides(e, lam)
+            if not chain or lam in (exp_lcm(leads[i][0][1], e), exp_lcm(leads[j][0][1], e)):
+                keep.append(p)
+        if len(keep) < len(pairs):
+            pairs[:] = keep
+            heapq.heapify(pairs)
+        if m < done:
+            return
+        cand = {}
+        for k in range(m):
+            (ck, ek), _ = leads[k]
+            if ck == c:
+                lam = exp_lcm(ek, e)
+                first, coprime = cand.get(lam, (k, False))
+                cand[lam] = (first, coprime or (rank1 and lam == exp_add(ek, e)))
+        for lam, (k, coprime) in cand.items():
+            if coprime or any(o != lam and exp_divides(o, lam) for o in cand):
+                continue
+            mon = (c, lam)
+            key = order.key(mon) if exprs is None else (0 if m < s else -m)
+            heapq.heappush(pairs, (key, k, m, mon))
+
+    for m, g in enumerate(G):
+        leads.append(g.leading(order))
+        add(m)
     while pairs:
-        i, j = pairs.popleft()
-        s = s_polynomial(G[i], G[j], order)
-        if s.is_zero:
+        _, i, j, (_, lam) = heapq.heappop(pairs)
+        (mi, ci), (mj, cj) = leads[i], leads[j]
+        ti = (one / ci, exp_sub(lam, mi[1]))
+        tj = (one / cj, exp_sub(lam, mj[1]))
+        sp = G[i].mul_term(*ti) - G[j].mul_term(*tj)
+        if sp.is_zero:
             continue
-        r = normal_form(s, G, order)
+        quots, r = divide(sp, G, order)
         if r.is_zero:
             continue
-        r = r.scale(one / r.leading(order)[1])
-        G.append(r)
-        m = len(G) - 1
-        pairs.extendleft((k, m) for k in reversed(range(m)))
+        lm, lc = r.leading(order)
+        c = one / lc
+        G.append(r.scale(c))
+        leads.append((lm, one))
+        if exprs is not None:
+            expr = exprs[i].mul_term(*ti) - exprs[j].mul_term(*tj)
+            for k, q in enumerate(quots):
+                if not q.is_zero:
+                    expr = expr - exprs[k].mul_poly(q)
+            exprs.append(expr.scale(c))
+        add(len(G) - 1)
     return G
+
+
+def buchberger(gens, order):
+    """Complete a generating list to a Groebner basis, keeping the input prefix."""
+    return _complete([f for f in gens if not f.is_zero], order)
 
 
 def buchberger_transform(gens, order):
@@ -77,39 +139,13 @@ def buchberger_transform(gens, order):
     if not gens:
         return [], []
     ring = gens[0].ring
-    s = len(gens)
     zero_exp = (0,) * ring.n
-    one = ring.field.one
     G, exprs = [], []
     for i, f in enumerate(gens):
         if not f.is_zero:
             G.append(f)
-            exprs.append(ModuleElement.monomial(ring, s, i, zero_exp))
-    pairs = deque(sorted((i, j) for j in range(len(G)) for i in range(j)))
-    while pairs:
-        i, j = pairs.popleft()
-        (mi, ci), (mj, cj) = G[i].leading(order), G[j].leading(order)
-        if mi[0] != mj[0]:
-            continue
-        lam = exp_lcm(mi[1], mj[1])
-        ti = (one / ci, exp_sub(lam, mi[1]))
-        tj = (one / cj, exp_sub(lam, mj[1]))
-        sp = G[i].mul_term(*ti) - G[j].mul_term(*tj)
-        if sp.is_zero:
-            continue
-        quots, r = divide(sp, G, order)
-        if r.is_zero:
-            continue
-        expr = exprs[i].mul_term(*ti) - exprs[j].mul_term(*tj)
-        for k, q in enumerate(quots):
-            if not q.is_zero:
-                expr = expr - exprs[k].mul_poly(q)
-        c = one / r.leading(order)[1]
-        G.append(r.scale(c))
-        exprs.append(expr.scale(c))
-        m = len(G) - 1
-        pairs.extendleft((k, m) for k in reversed(range(m)))
-    return G, exprs
+            exprs.append(ModuleElement.monomial(ring, len(gens), i, zero_exp))
+    return _complete(G, order, exprs), exprs
 
 
 def _minimal_indices(G, order):

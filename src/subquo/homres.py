@@ -1,8 +1,5 @@
 """Homology presentations, free resolutions, pruning and diagram realizations."""
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 from .elements import ModuleElement, exp_add
 from .errors import ContractViolation, InputError
 from .graded import (
@@ -526,13 +523,6 @@ def verify_complex(res, box=None):
         hi = exp_add(hi, (1,) * ring.n)
     else:
         lo, hi = box
-    todo = list(degrees_in_box(lo, hi))
-    workers = int(os.environ.get("RELGB_THREADS", "0") or 0)
-    if workers > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for msgs in pool.map(lambda a: _verify_degree(res, g_u, a), todo):
-                report.extend(msgs)
-    else:
-        for a in todo:
-            report.extend(_verify_degree(res, g_u, a))
+    for a in degrees_in_box(lo, hi):
+        report.extend(_verify_degree(res, g_u, a))
     return not report, report

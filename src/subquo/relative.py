@@ -2,7 +2,7 @@
 
 from .elements import ModuleElement, exp_lcm, exp_sub, mon_divides
 from .errors import ContractViolation
-from .groebner import buchberger, divide, is_groebner, normal_form
+from .groebner import _complete, divide, is_groebner, normal_form
 from .orders import SchreyerOrder
 
 
@@ -13,24 +13,24 @@ def relative_division(f, g_u, h, order):
     are recorded, so f - p - sum(q_i * h_i) lies in the inner submodule.
     """
     ring, rank = f.ring, f.rank
-    gl = [g.leading(order) for g in g_u]
-    hl = [x.leading(order) for x in h]
+    gl = [(g.leading(order), g) for g in g_u if not g.is_zero]
+    hl = [(x.leading(order), i) for i, x in enumerate(h) if not x.is_zero]
     quots = [ModuleElement.zero(ring, 1) for _ in h]
     rem = {}
     work = f
     while not work.is_zero:
         mon, coeff = work.leading(order)
-        hit = next((i for i, (m, _) in enumerate(gl) if mon_divides(m, mon)), None)
+        hit = next((t for t in gl if mon_divides(t[0][0], mon)), None)
         if hit is not None:
-            gm, gc = gl[hit]
-            work = work - g_u[hit].mul_term(coeff / gc, exp_sub(mon[1], gm[1]))
+            (gm, gc), g = hit
+            work = work - g.mul_term(coeff / gc, exp_sub(mon[1], gm[1]))
             continue
-        hit = next((i for i, (m, _) in enumerate(hl) if mon_divides(m, mon)), None)
+        hit = next((t for t in hl if mon_divides(t[0][0], mon)), None)
         if hit is not None:
-            hm, hc = hl[hit]
+            (hm, hc), i = hit
             c, e = coeff / hc, exp_sub(mon[1], hm[1])
-            quots[hit] = quots[hit] + ModuleElement.monomial(ring, 1, 0, e, c)
-            work = work - h[hit].mul_term(c, e)
+            quots[i] = quots[i] + ModuleElement.monomial(ring, 1, 0, e, c)
+            work = work - h[i].mul_term(c, e)
             continue
         rem[mon] = coeff
         work = work - ModuleElement(ring, rank, {mon: coeff})
@@ -38,11 +38,15 @@ def relative_division(f, g_u, h, order):
 
 
 def relative_buchberger(gens, g_u, order):
-    """Relative Groebner basis of the span of gens plus the inner submodule."""
-    cand = [normal_form(f, g_u, order) for f in gens]
+    """Relative Groebner basis of the span of gens plus the inner submodule.
+
+    g_u must be a Groebner basis of the inner submodule, so no pair inside it
+    is formed.
+    """
+    base = [g for g in g_u if not g.is_zero]
+    cand = [normal_form(f, base, order) for f in gens]
     cand = [f for f in cand if not f.is_zero]
-    full = buchberger(list(g_u) + cand, order)
-    return full[len(g_u):]
+    return _complete(base + cand, order, done=len(base))[len(base):]
 
 
 def reduce_relative(h, g_u, order):

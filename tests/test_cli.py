@@ -1,5 +1,6 @@
 """End-to-end tests for the subquo command line."""
 
+import os
 import sys
 
 import pytest
@@ -595,6 +596,21 @@ class TestPlumbing:
         assert target.read_text() == RELGB5_OUT
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".subquo-")]
         assert leftovers == []
+
+    def test_failed_replace_leaves_no_temp_file(self, files, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        target = tmp_path / "out.mod"
+        with pytest.raises(OSError):
+            run_cli(monkeypatch, capsys, "gb", files["u5.mod"], "-o", str(target))
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+    def test_version(self, files, monkeypatch, capsys):
+        code, out, err = run_cli(monkeypatch, capsys, "--version")
+        assert code == 0
+        assert "1.0.0" in out
 
     def test_field_override(self, files, tmp_path, monkeypatch, capsys):
         mod = tmp_path / "f5.mod"

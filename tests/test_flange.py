@@ -112,6 +112,16 @@ class TestBuchbergerFlange:
         for i in range(big.nrows):
             assert done.entries[i][: big.ncols] == big.entries[i]
 
+    def test_zero_column_completes(self, ring2, order):
+        mat = FreeInjectiveMatrix(
+            ring2, [(1, 1), (2, 1)], [(1, 0), (0, 1), (2, 2)], qgrid(QQ, [[1, 0, 0], [1, 1, 0]])
+        )
+        done = buchberger_flange(mat, order)
+        assert done.beta[: mat.ncols] == mat.beta
+        for i in range(mat.nrows):
+            assert done.entries[i][: mat.ncols] == mat.entries[i]
+        assert is_groebner_form(done, order) == (True, None)
+
 
 class TestFreePresentation:
     def test_frozen_presentation(self, ring2, order):

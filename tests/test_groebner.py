@@ -1,6 +1,7 @@
 """Division, Buchberger completion, reduction and Schreyer syzygies."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from subquo import (
     ContractViolation,
     ModuleElement,
     QQ,
+    Ring,
     buchberger,
     buchberger_transform,
     default_order,
@@ -18,6 +20,7 @@ from subquo import (
     minimal_transform,
     normal_form,
     parse_element,
+    parse_field,
     parse_order,
     reduce_groebner,
     s_polynomial,
@@ -249,3 +252,93 @@ class TestSchreyerSyzygies:
         assert len(minsyz) <= len(allsyz)
         lead = {s.leading(sord)[0] for s in minsyz}
         assert len(lead) == len(minsyz)
+
+
+def _assert_matches_sympy(gens, ring):
+    """reduce_groebner(buchberger(gens)) equals sympy's reduced grevlex basis."""
+    sympy = pytest.importorskip("sympy")
+    order = default_order(ring, 1)
+    reduced = reduce_groebner(buchberger(gens, order), order)
+    ours = [g.scale(ring.field.one / g.leading(order)[1]) for g in reduced]
+    p = getattr(ring.field, "p", None)
+    opts = {"modulus": p} if p else {}
+    syms = sympy.symbols(" ".join(ring.names))
+    # x1 is the smallest variable of default_order, the first generator the
+    # largest of sympy's grevlex
+    rev = syms[::-1]
+    exprs = [
+        sum(
+            sympy.Rational(c.v if p else c) * sympy.Mul(*[s**k for s, k in zip(syms, e)])
+            for (_, e), c in f.terms
+        )
+        for f in gens
+    ]
+    theirs = []
+    for g in sympy.groebner(exprs, *rev, order="grevlex", **opts).exprs:
+        poly = sympy.Poly(g, *rev, **opts).to_field()
+        poly = poly.quo_ground(poly.LC(order="grevlex"))
+        terms = {}
+        for e, c in poly.as_dict().items():
+            coeff = ring.field.from_int(int(c)) if p else Fraction(int(c.p), int(c.q))
+            terms[(0, tuple(reversed(e)))] = coeff
+        theirs.append(ModuleElement(ring, 1, terms))
+    assert set(ours) == set(theirs)
+
+
+class TestAgainstSympy:
+    FIXED = [
+        ["X^2*Y-1", "X*Y^2-X"],
+        ["X^3-2*X*Y", "X^2*Y-2*Y^2+X"],
+        ["X+Y+Z", "X*Y+Y*Z+Z*X", "X*Y*Z-1"],
+        ["X^2+Y^2+Z^2-1", "X-Y", "Y*Z-2"],
+    ]
+
+    @pytest.mark.parametrize("field", ["q", "fp:32003"])
+    def test_fixed_systems(self, field):
+        ring = Ring(3, parse_field(field), ("X", "Y", "Z"))
+        for texts in self.FIXED:
+            _assert_matches_sympy(els(ring, 1, texts), ring)
+
+    @pytest.mark.parametrize("field", ["q", "fp:32003"])
+    def test_random_systems(self, field):
+        rng = random.Random(604)
+        for _ in range(12):
+            n = rng.randint(2, 3)
+            ring = Ring(n, parse_field(field), tuple("XYZ"[:n]))
+            gens = [random_element(rng, ring, 1, max_deg=3) for _ in range(rng.randint(2, 3))]
+            gens = [g for g in gens if not g.is_zero]
+            if gens:
+                _assert_matches_sympy(gens, ring)
+
+
+class TestCompletionProperties:
+    def test_groebner_membership_and_shuffle_invariance(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def systems(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            rank = draw(st.integers(1, 2))
+            ring = Ring(2, field, ("X", "Y"))
+            spec = draw(st.sampled_from(["grevlex X Y ; pot desc", "lex X Y ; top desc"]))
+            order = parse_order(spec, ring, rank)
+            exp = st.tuples(st.integers(0, 2), st.integers(0, 2))
+            mon = st.tuples(st.integers(0, rank - 1), exp)
+            coeff = st.integers(-3, 3).filter(bool).map(field.from_int)
+            terms = st.dictionaries(mon, coeff, min_size=1, max_size=3)
+            elem = terms.map(lambda d: ModuleElement(ring, rank, d))
+            gens = draw(st.lists(elem, min_size=1, max_size=3))
+            return gens, order, draw(st.permutations(range(len(gens))))
+
+        @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @hyp.given(systems())
+        def check(case):
+            gens, order, perm = case
+            G = buchberger(gens, order)
+            assert is_groebner(G, order)
+            assert all(normal_form(f, G, order).is_zero for f in gens)
+            shuffled = buchberger([gens[k] for k in perm], order)
+            assert reduce_groebner(shuffled, order) == reduce_groebner(G, order)
+
+        check()
