@@ -1,6 +1,5 @@
 """Command-line interface for relative Groebner basis computations."""
 
-import functools
 import os
 import sys
 import tempfile
@@ -21,9 +20,9 @@ from .files import (
     parse_module_file,
     parse_resolution_file,
 )
-from .flange import buchberger_flange, free_presentation, is_groebner_form
+from .flange import buchberger_flange, free_presentation
 from .graded import degrees_in_box, format_degree, graded_dimension, parse_degree
-from .groebner import is_groebner, reduce_groebner, buchberger, schreyer_syzygies
+from .groebner import reduce_groebner, buchberger, schreyer_syzygies
 from .homres import (
     betti_numbers,
     free_resolution,
@@ -32,20 +31,7 @@ from .homres import (
     prune_minimize,
     verify_complex,
 )
-from .relative import is_relative_gb, reduce_relative, relative_buchberger, relative_schreyer
-
-
-def _wrap(fn):
-    """Convert library errors into clean CLI failures."""
-
-    @functools.wraps(fn)
-    def inner(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (InputError, ContractViolation) as err:
-            raise click.ClickException(str(err)) from None
-
-    return inner
+from .relative import reduce_relative, relative_buchberger, relative_schreyer
 
 
 def _emit(text, output):
@@ -71,9 +57,13 @@ def _parse_box(text, n):
     return parse_degree(lo_text.strip(), n), parse_degree(hi_text.strip(), n)
 
 
-def _load_module(path, order_text, field_text=None):
+def _read(path):
     with open(path) as fh:
-        return parse_module_file(fh.read(), order_text, field_text)
+        return fh.read()
+
+
+def _load_module(path, order_text, field_text=None):
+    return parse_module_file(_read(path), order_text, field_text)
 
 
 def _load_pair(upath, vpath, order_text, field_text=None):
@@ -110,7 +100,6 @@ def cli():
 @_ORDER_OPT
 @_FIELD_OPT
 @_OUT_OPT
-@_wrap
 def gb(module_file, order_text, field_text, output):
     """Reduced Groebner basis of the module generated by the input elements."""
     ring, rank, order, gens, _ = _load_module(module_file, order_text, field_text)
@@ -124,7 +113,6 @@ def gb(module_file, order_text, field_text, output):
 @_ORDER_OPT
 @_FIELD_OPT
 @_OUT_OPT
-@_wrap
 def relgb(u_file, v_file, order_text, field_text, output):
     """Reduced Groebner basis of V relative to U."""
     ring, rank, order, u_gens, v_gens, _ = _load_pair(u_file, v_file, order_text, field_text)
@@ -138,14 +126,10 @@ def relgb(u_file, v_file, order_text, field_text, output):
 @_ORDER_OPT
 @_FIELD_OPT
 @_OUT_OPT
-@_wrap
 def syz(module_file, order_text, field_text, output):
     """Syzygies of a Groebner basis, as columns over its elements."""
     ring, rank, order, gens, _ = _load_module(module_file, order_text, field_text)
     gens = [g for g in gens if not g.is_zero]
-    if not is_groebner(gens, order):
-        click.echo("input is not a Groebner basis", err=True)
-        sys.exit(2)
     cols, sord = schreyer_syzygies(gens, order)
     _emit(emit_module_file(ring, len(gens), cols, None, sord), output)
 
@@ -156,15 +140,11 @@ def syz(module_file, order_text, field_text, output):
 @_ORDER_OPT
 @_FIELD_OPT
 @_OUT_OPT
-@_wrap
 def relsyz(u_file, h_file, order_text, field_text, output):
     """Syzygies of a relative Groebner basis H over U."""
     ring, rank, order, u_gens, h, _ = _load_pair(u_file, h_file, order_text, field_text)
     g_u = reduce_groebner(buchberger(u_gens, order), order)
     h = [e for e in h if not e.is_zero]
-    if not is_relative_gb(h, g_u, order):
-        click.echo("input is not a relative Groebner basis", err=True)
-        sys.exit(2)
     cols, sord = relative_schreyer(h, g_u, order)
     _emit(emit_module_file(ring, len(h), cols, None, sord), output)
 
@@ -175,7 +155,6 @@ def relsyz(u_file, h_file, order_text, field_text, output):
 @_ORDER_OPT
 @_FIELD_OPT
 @_OUT_OPT
-@_wrap
 def respres(u_file, v_file, order_text, field_text, output):
     """Free presentation of V/U: relative basis generators and one syzygy matrix."""
     ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
@@ -190,7 +169,6 @@ def respres(u_file, v_file, order_text, field_text, output):
 @_ORDER_OPT
 @_FIELD_OPT
 @_OUT_OPT
-@_wrap
 def resolution(u_file, v_file, length, order_text, field_text, output):
     """Free resolution of V/U by iterated syzygy computation."""
     ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
@@ -202,22 +180,18 @@ def resolution(u_file, v_file, length, order_text, field_text, output):
 @click.argument("res_file", type=click.Path(exists=True, dir_okay=False))
 @_FIELD_OPT
 @_OUT_OPT
-@_wrap
 def minimize(res_file, field_text, output):
     """Prune constant entries from a resolution until it is minimal."""
-    with open(res_file) as fh:
-        res = parse_resolution_file(fh.read(), None, field_text)
+    res = parse_resolution_file(_read(res_file), None, field_text)
     _emit(emit_resolution_file(prune_minimize(res)), output)
 
 
 @cli.command()
 @click.argument("res_file", type=click.Path(exists=True, dir_okay=False))
 @_FIELD_OPT
-@_wrap
 def betti(res_file, field_text):
     """Betti numbers of a resolution, minimizing it first when needed."""
-    with open(res_file) as fh:
-        res = parse_resolution_file(fh.read(), None, field_text)
+    res = parse_resolution_file(_read(res_file), None, field_text)
     if not res.minimized:
         res = prune_minimize(res)
     click.echo(" ".join(str(b) for b in betti_numbers(res)))
@@ -230,7 +204,6 @@ def betti(res_file, field_text):
 @click.option("--box", "box_text", default=None, metavar="LO..HI", help="Degree box, e.g. '(0,0)..(4,3)'.")
 @_ORDER_OPT
 @_FIELD_OPT
-@_wrap
 def hilbert(u_file, v_file, degree_text, box_text, order_text, field_text):
     """Graded dimensions of V/U at a degree or over a box of degrees."""
     ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
@@ -251,11 +224,9 @@ def hilbert(u_file, v_file, degree_text, box_text, order_text, field_text):
 @_ORDER_OPT
 @_FIELD_OPT
 @_OUT_OPT
-@_wrap
 def flange_gb(fim_file, order_text, field_text, output):
     """Complete a free-injective matrix to Groebner form."""
-    with open(fim_file) as fh:
-        mat, order = parse_fim_file(fh.read(), order_text, field_text)
+    mat, order = parse_fim_file(_read(fim_file), order_text, field_text)
     done = buchberger_flange(mat, order)
     _emit(emit_fim_file(done, order), output)
 
@@ -265,15 +236,9 @@ def flange_gb(fim_file, order_text, field_text, output):
 @_ORDER_OPT
 @_FIELD_OPT
 @_OUT_OPT
-@_wrap
 def flange_pres(fim_file, order_text, field_text, output):
     """Presentation of the homomorphisms into a free-injective matrix's cokernel."""
-    with open(fim_file) as fh:
-        mat, order = parse_fim_file(fh.read(), order_text, field_text)
-    ok, witness = is_groebner_form(mat, order)
-    if not ok:
-        click.echo("matrix is not in Groebner form: %s" % witness, err=True)
-        sys.exit(2)
+    mat, order = parse_fim_file(_read(fim_file), order_text, field_text)
     pres = free_presentation(mat, order)
     _emit(emit_matrix_file(mat.ring, pres, order), output)
 
@@ -284,11 +249,9 @@ def flange_pres(fim_file, order_text, field_text, output):
 @_ORDER_OPT
 @_FIELD_OPT
 @_OUT_OPT
-@_wrap
 def homology(complex_file, do_min, order_text, field_text, output):
     """Presentation of homology at the middle of a three-term complex D2, P, D1."""
-    with open(complex_file) as fh:
-        ring, order, d1, p, d2 = parse_complex_file(fh.read(), order_text, field_text)
+    ring, order, d1, p, d2 = parse_complex_file(_read(complex_file), order_text, field_text)
     res = homology_presentation(d1, p, d2, order)
     if do_min:
         res = prune_minimize(res)
@@ -299,11 +262,9 @@ def homology(complex_file, do_min, order_text, field_text, output):
 @click.argument("diagram_file", type=click.Path(exists=True, dir_okay=False))
 @_FIELD_OPT
 @_OUT_OPT
-@_wrap
 def from_diagram(diagram_file, field_text, output):
     """Present a diagram of vector spaces as a subquotient V/U of a free module."""
-    with open(diagram_file) as fh:
-        diag = parse_diagram_file(fh.read(), field_text)
+    diag = parse_diagram_file(_read(diagram_file), field_text)
     v_gens, u_gens = module_from_diagram(diag)
     rank = v_gens[0].rank
     _emit(emit_module_pair_file(diag.ring, rank, v_gens, u_gens), output)
@@ -313,11 +274,9 @@ def from_diagram(diagram_file, field_text, output):
 @click.argument("res_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--box", "box_text", default=None, metavar="LO..HI", help="Degree box to check, e.g. '(0,0)..(4,3)'.")
 @_FIELD_OPT
-@_wrap
 def verify(res_file, box_text, field_text):
     """Check a resolution file: homogeneity, zero composites, graded exactness."""
-    with open(res_file) as fh:
-        res = parse_resolution_file(fh.read(), None, field_text)
+    res = parse_resolution_file(_read(res_file), None, field_text)
     box = _parse_box(box_text, res.ring.n) if box_text is not None else None
     ok, report = verify_complex(res, box)
     for line in report:
@@ -328,6 +287,7 @@ def verify(res_file, box_text, field_text):
 
 
 def main():
+    """Run the command line; input errors exit 1 and contract violations 2."""
     try:
         cli(prog_name="subquo", standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -338,6 +298,9 @@ def main():
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)
+    except (InputError, ContractViolation) as err:
+        click.echo("Error: %s" % err, err=True)
+        sys.exit(2 if isinstance(err, ContractViolation) else 1)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 from collections import deque
 
-from .elements import ModuleElement, format_element
+from .elements import ModuleElement, exp_sub, format_element
 from .errors import ContractViolation, InputError
 from .graded import GradedMatrix, deg_join, deg_leq, normalize_shifts
+from .groebner import _lift
 from .relative import relative_division
 
 
@@ -99,40 +100,41 @@ def _require_supported(mat):
         )
 
 
+def _setup(mat, order):
+    """The order on the row module, the cofree relations and the columns of mat."""
+    return order.for_rank(mat.nrows), [u for _, _, u in mat.cofree_relations()], mat.columns()
+
+
 def monomial_division(f, mat, order):
     """Divide f by the cofree relations and then the columns of mat."""
-    order = order.for_rank(mat.nrows)
-    ge = [u for _, _, u in mat.cofree_relations()]
-    return relative_division(f, ge, mat.columns(), order)
+    order, ge, cols = _setup(mat, order)
+    return relative_division(f, ge, cols, order)
 
 
-def _column_pair_spoly(cols, beta, j1, j2, order, field):
-    """Exact-leading-term S-polynomial of two columns, or None across components.
+def _spair(name, ring, alpha, beta, rows, cols, order):
+    """S-polynomial of one flange pair as (sp, lam, sig), or None.
 
-    A zero column has no leading term and pairs with nothing.
+    name is ("cc", j1, j2) for two columns, or ("ct", i, j, k) for column j
+    against the cofree relation of row i for variable k. lam is the pair's
+    degree; sig maps (column, exponent) to coefficient for the pair's own
+    syzygy terms. Columns in different components, or zero, form no pair.
     """
-    if cols[j1].is_zero or cols[j2].is_zero:
-        return None
-    (m1, c1), (m2, c2) = cols[j1].leading(order), cols[j2].leading(order)
-    if m1[0] != m2[0]:
-        return None
-    lam = deg_join(beta[j1], beta[j2])
-    d1 = tuple(x - y for x, y in zip(lam, beta[j1]))
-    d2 = tuple(x - y for x, y in zip(lam, beta[j2]))
-    s = cols[j1].mul_term(field.one, d1) - cols[j2].mul_term(c1 / c2, d2)
-    return s, lam, d1, d2, c1 / c2
-
-
-def _triple_spoly(ring, entries, alpha, beta, i, j, k):
-    """S-polynomial of column j against the cofree relation of row i, variable k."""
-    target = tuple(alpha[i][k] + 1 if v == k else 0 for v in range(ring.n))
-    lam = deg_join(beta[j], target)
-    terms = {
-        (i2, lam): row[j]
-        for i2, row in enumerate(entries)
-        if i2 != i and row[j]
-    }
-    return ModuleElement(ring, len(alpha), terms), lam
+    one = ring.field.one
+    if name[0] == "cc":
+        _, j1, j2 = name
+        if cols[j1].is_zero or cols[j2].is_zero:
+            return None
+        (m1, c1), (m2, c2) = cols[j1].leading(order), cols[j2].leading(order)
+        if m1[0] != m2[0]:
+            return None
+        lam = deg_join(beta[j1], beta[j2])
+        d1, d2, ratio = exp_sub(lam, beta[j1]), exp_sub(lam, beta[j2]), c1 / c2
+        sp = cols[j1].mul_term(one, d1) - cols[j2].mul_term(ratio, d2)
+        return sp, lam, {(j1, d1): one, (j2, d2): -ratio}
+    _, i, j, k = name
+    lam = deg_join(beta[j], tuple(alpha[i][k] + 1 if v == k else 0 for v in range(ring.n)))
+    terms = {(i2, lam): row[j] for i2, row in enumerate(rows) if i2 != i and row[j]}
+    return ModuleElement(ring, len(alpha), terms), lam, {(j, exp_sub(lam, beta[j])): one}
 
 
 def _scalar_column(p, nrows, field):
@@ -155,15 +157,13 @@ def buchberger_flange(mat, order):
     """
     _require_supported(mat)
     ring, field = mat.ring, mat.ring.field
-    order = order.for_rank(mat.nrows)
-    ge = [u for _, _, u in mat.cofree_relations()]
+    order, ge, cols = _setup(mat, order)
     rows = [list(r) for r in mat.entries]
     beta = list(mat.beta)
-    cols = mat.columns()
     s, n = mat.nrows, ring.n
 
     def triples_for(j):
-        return [("ct", j, i, k) for i in range(s) for k in range(n)]
+        return [("ct", i, j, k) for i in range(s) for k in range(n)]
 
     queue = deque(
         ("cc", j1, j2)
@@ -172,15 +172,10 @@ def buchberger_flange(mat, order):
     for j in range(len(beta)):
         queue.extend(triples_for(j))
     while queue:
-        item = queue.popleft()
-        if item[0] == "cc":
-            got = _column_pair_spoly(cols, beta, item[1], item[2], order, field)
-            sp = got[0] if got else None
-        else:
-            sp, _ = _triple_spoly(ring, rows, mat.alpha, beta, item[2], item[1], item[3])
-        if sp is None or sp.is_zero:
+        got = _spair(queue.popleft(), ring, mat.alpha, beta, rows, cols, order)
+        if got is None or got[0].is_zero:
             continue
-        p, _ = relative_division(sp, ge, cols, order)
+        p, _ = relative_division(got[0], ge, cols, order)
         if p.is_zero:
             continue
         lam, vec = _scalar_column(p, s, field)
@@ -194,34 +189,37 @@ def buchberger_flange(mat, order):
     return FreeInjectiveMatrix(ring, mat.alpha, beta, rows)
 
 
+def _flange_pairs(mat, cols, order):
+    """Flange S-pairs of mat in checking order, as (name, sp, lam, sig).
+
+    Column pairs come first, j2 outer; then each column j against the cofree
+    relations, j outer, then row i and variable k. See _spair.
+    """
+    names = [("cc", j1, j2) for j2 in range(mat.ncols) for j1 in range(j2)]
+    for j in range(mat.ncols):
+        names += [("ct", i, j, k) for i in range(mat.nrows) for k in range(mat.ring.n)]
+    for name in names:
+        got = _spair(name, mat.ring, mat.alpha, mat.beta, mat.entries, cols, order)
+        if got is not None:
+            yield (name,) + got
+
+
+def _witness(name, ring):
+    """Describe a flange S-pair named as in _spair."""
+    if name[0] == "cc":
+        return "S-polynomial of columns %d and %d" % (name[1] + 1, name[2] + 1)
+    _, i, j, k = name
+    text = "S-polynomial of column %d and the cofree relation in row %d for %s"
+    return text % (j + 1, i + 1, ring.names[k])
+
+
 def is_groebner_form(mat, order):
     """Check all flange S-polynomials reduce to zero; returns (ok, witness)."""
     _require_supported(mat)
-    ring, field = mat.ring, mat.ring.field
-    order = order.for_rank(mat.nrows)
-    ge = [u for _, _, u in mat.cofree_relations()]
-    cols = mat.columns()
-    beta = mat.beta
-    for j2 in range(mat.ncols):
-        for j1 in range(j2):
-            got = _column_pair_spoly(cols, beta, j1, j2, order, field)
-            if got is None or got[0].is_zero:
-                continue
-            p, _ = relative_division(got[0], ge, cols, order)
-            if not p.is_zero:
-                return False, "S-polynomial of columns %d and %d" % (j1 + 1, j2 + 1)
-    for j in range(mat.ncols):
-        for i in range(mat.nrows):
-            for k in range(ring.n):
-                sp, _ = _triple_spoly(ring, mat.entries, mat.alpha, beta, i, j, k)
-                if sp.is_zero:
-                    continue
-                p, _ = relative_division(sp, ge, cols, order)
-                if not p.is_zero:
-                    return False, (
-                        "S-polynomial of column %d and the cofree relation in row %d for %s"
-                        % (j + 1, i + 1, ring.names[k])
-                    )
+    order, ge, cols = _setup(mat, order)
+    for name, sp, _, _ in _flange_pairs(mat, cols, order):
+        if not sp.is_zero and not relative_division(sp, ge, cols, order)[0].is_zero:
+            return False, _witness(name, mat.ring)
     return True, None
 
 
@@ -229,59 +227,31 @@ def free_presentation(mat, order):
     """Presentation matrix of the module cut out by a matrix in Groebner form.
 
     Rows are indexed by the columns of mat; each output column sigma encodes a
-    relation sum(sigma_j * column_j) lying in the cofree kernel.
+    relation sum(sigma_j * column_j) lying in the cofree kernel. Column-pair
+    relations come first, then column-relation ones ordered by row; zero and
+    repeated relations are dropped. A pair that does not reduce to zero
+    raises ContractViolation with the witness of is_groebner_form.
     """
-    ok, witness = is_groebner_form(mat, order)
-    if not ok:
-        raise ContractViolation("matrix is not in Groebner form: %s" % witness)
-    ring, field = mat.ring, mat.ring.field
-    order = order.for_rank(mat.nrows)
-    ge = [u for _, _, u in mat.cofree_relations()]
-    cols = mat.columns()
-    beta = mat.beta
-    t = mat.ncols
-    out, out_deg = [], []
-
-    def push(sig, lam):
-        if sig.is_zero or sig in out:
-            return
-        out.append(sig)
-        out_deg.append(lam)
-
-    for j2 in range(t):
-        for j1 in range(j2):
-            got = _column_pair_spoly(cols, beta, j1, j2, order, field)
-            if got is None:
-                continue
-            sp, lam, d1, d2, ratio = got
-            sig = ModuleElement.monomial(ring, t, j1, d1)
-            sig = sig - ModuleElement.monomial(ring, t, j2, d2, ratio)
-            if not sp.is_zero:
-                p, quots = relative_division(sp, ge, cols, order)
-                if not p.is_zero:
-                    raise ContractViolation("matrix is not in Groebner form")
-                for m, q in enumerate(quots):
-                    if not q.is_zero:
-                        sig = sig - ModuleElement.monomial(ring, t, m, (0,) * ring.n).mul_poly(q)
-            push(sig, lam)
-    for i in range(mat.nrows):
-        for j in range(t):
-            for k in range(ring.n):
-                sp, lam = _triple_spoly(ring, mat.entries, mat.alpha, beta, i, j, k)
-                sig = ModuleElement.monomial(
-                    ring, t, j, tuple(x - y for x, y in zip(lam, beta[j]))
-                )
-                if not sp.is_zero:
-                    p, quots = relative_division(sp, ge, cols, order)
-                    if not p.is_zero:
-                        raise ContractViolation("matrix is not in Groebner form")
-                    for m, q in enumerate(quots):
-                        if not q.is_zero:
-                            sig = sig - ModuleElement.monomial(
-                                ring, t, m, (0,) * ring.n
-                            ).mul_poly(q)
-                push(sig, lam)
-    return GradedMatrix(ring, beta, out_deg, out)
+    _require_supported(mat)
+    ring = mat.ring
+    order, ge, cols = _setup(mat, order)
+    lifted = {}
+    for name, sp, lam, sig in _flange_pairs(mat, cols, order):
+        sig = _lift(
+            sig, mat.ncols, sp, ge + cols, order,
+            lambda: "matrix is not in Groebner form: %s" % _witness(name, ring),
+            skip=len(ge),
+        )
+        lifted[name] = sig, lam
+    names = [nm for nm in lifted if nm[0] == "cc"] + sorted(nm for nm in lifted if nm[0] == "ct")
+    out, out_deg, seen = [], [], set()
+    for nm in names:
+        sig, lam = lifted[nm]
+        if not sig.is_zero and sig not in seen:
+            seen.add(sig)
+            out.append(sig)
+            out_deg.append(lam)
+    return GradedMatrix(ring, mat.beta, out_deg, out)
 
 
 def matlis_transpose(mat):

@@ -8,27 +8,31 @@ from .orders import SchreyerOrder
 
 
 def divide(f, basis, order):
-    """Divide f by a list of elements, returning (quotients, remainder)."""
+    """Divide f by a list of elements, returning (quotients, remainder).
+
+    Each step reduces the leading term of what is left by the first element
+    whose leading monomial divides it, or moves that term to the remainder;
+    zero elements are skipped. Leading terms strictly fall, so a quotient
+    never gets the same exponent twice and is built once at the end.
+    """
     ring, rank = f.ring, f.rank
     leads = [None if g.is_zero else g.leading(order) for g in basis]
-    quots = [ModuleElement.zero(ring, 1) for _ in basis]
+    qterms = [{} for _ in basis]
     rem = {}
     work = f
     while not work.is_zero:
         mon, coeff = work.leading(order)
-        hit = None
         for i, ld in enumerate(leads):
             if ld is not None and mon_divides(ld[0], mon):
-                hit = i
+                c, e = coeff / ld[1], exp_sub(mon[1], ld[0][1])
+                qterms[i][(0, e)] = c
+                work = work - basis[i].mul_term(c, e)
                 break
-        if hit is None:
+        else:
             rem[mon] = coeff
             work = work - ModuleElement(ring, rank, {mon: coeff})
-        else:
-            gm, gc = leads[hit]
-            c, e = coeff / gc, exp_sub(mon[1], gm[1])
-            quots[hit] = quots[hit] + ModuleElement.monomial(ring, 1, 0, e, c)
-            work = work - basis[hit].mul_term(c, e)
+    zero = ModuleElement.zero(ring, 1)
+    quots = [ModuleElement(ring, 1, q) if q else zero for q in qterms]
     return quots, ModuleElement(ring, rank, rem)
 
 
@@ -37,14 +41,19 @@ def normal_form(f, basis, order):
     return divide(f, basis, order)[1]
 
 
+def _cofactors(lf, lg, one):
+    """Terms (coeff, exp) taking the leading terms lf and lg to their monic lcm."""
+    lam = exp_lcm(lf[0][1], lg[0][1])
+    return (one / lf[1], exp_sub(lam, lf[0][1])), (one / lg[1], exp_sub(lam, lg[0][1]))
+
+
 def s_polynomial(f, g, order):
     """S-polynomial of f and g; zero when leading components differ."""
-    (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
-    if mf[0] != mg[0]:
+    lf, lg = f.leading(order), g.leading(order)
+    if lf[0][0] != lg[0][0]:
         return ModuleElement.zero(f.ring, f.rank)
-    one = f.ring.field.one
-    lam = exp_lcm(mf[1], mg[1])
-    return f.mul_term(one / cf, exp_sub(lam, mf[1])) - g.mul_term(one / cg, exp_sub(lam, mg[1]))
+    tf, tg = _cofactors(lf, lg, f.ring.field.one)
+    return f.mul_term(*tf) - g.mul_term(*tg)
 
 
 def _complete(G, order, exprs=None, done=0):
@@ -102,10 +111,8 @@ def _complete(G, order, exprs=None, done=0):
         leads.append(g.leading(order))
         add(m)
     while pairs:
-        _, i, j, (_, lam) = heapq.heappop(pairs)
-        (mi, ci), (mj, cj) = leads[i], leads[j]
-        ti = (one / ci, exp_sub(lam, mi[1]))
-        tj = (one / cj, exp_sub(lam, mj[1]))
+        _, i, j, _ = heapq.heappop(pairs)
+        ti, tj = _cofactors(leads[i], leads[j], one)
         sp = G[i].mul_term(*ti) - G[j].mul_term(*tj)
         if sp.is_zero:
             continue
@@ -158,39 +165,51 @@ def _minimal_indices(G, order):
     return picked
 
 
-def _canonical(items, order, key_of):
-    """Sort items by (leading component, leading monomial key)."""
-    return sorted(items, key=lambda it: (key_of(it)[0], order.key(key_of(it))))
+def _monic(g, order):
+    """g scaled to leading coefficient one."""
+    return g.scale(g.ring.field.one / g.leading(order)[1])
+
+
+def _canonical(items, order, elem=lambda it: it):
+    """Sort items by (leading component, leading monomial key) of elem(item)."""
+
+    def key(it):
+        lm = elem(it).leading(order)[0]
+        return lm[0], order.key(lm)
+
+    return sorted(items, key=key)
+
+
+def _reduce(G, g_u, order):
+    """Reduced basis of G modulo g_u, in canonical order.
+
+    Keeps the elements with minimal leading monomials, divides each by g_u
+    and the other kept ones, and makes it monic.
+    """
+    mini = [G[i] for i in _minimal_indices(G, order)]
+    out = []
+    for i, g in enumerate(mini):
+        out.append(_monic(divide(g, list(g_u) + mini[:i] + mini[i + 1 :], order)[1], order))
+    return _canonical(out, order)
 
 
 def reduce_groebner(G, order):
     """Reduced Groebner basis in canonical order from any Groebner basis."""
-    one = G[0].ring.field.one if G else None
-    picked = _minimal_indices(G, order)
-    mini = [G[i] for i in picked]
-    out = []
-    for i, g in enumerate(mini):
-        others = mini[:i] + mini[i + 1 :]
-        r = normal_form(g, others, order)
-        out.append(r.scale(one / r.leading(order)[1]))
-    return _canonical(out, order, lambda g: g.leading(order)[0])
+    return _reduce(G, [], order)
 
 
 def minimal_groebner(G, order):
     """Minimal Groebner basis in canonical order: normalized, not tail-reduced."""
-    one = G[0].ring.field.one if G else None
-    out = [G[i].scale(one / G[i].leading(order)[1]) for i in _minimal_indices(G, order)]
-    return _canonical(out, order, lambda g: g.leading(order)[0])
+    return _canonical([_monic(G[i], order) for i in _minimal_indices(G, order)], order)
 
 
 def minimal_transform(G, exprs, order):
     """Minimal Groebner basis keeping expressions over the original input in step."""
-    one = G[0].ring.field.one if G else None
     paired = []
     for i in _minimal_indices(G, order):
-        c = one / G[i].leading(order)[1]
+        c = G[i].ring.field.one / G[i].leading(order)[1]
         paired.append((G[i].scale(c), exprs[i].scale(c)))
-    paired.sort(key=lambda ge: (ge[0].leading(order)[0][0], order.key(ge[0].leading(order)[0])))
+    paired = _canonical(paired, order, lambda ge: ge[0])
     return [g for g, _ in paired], [e for _, e in paired]
 
 
@@ -212,47 +231,68 @@ def is_groebner(G, order):
     return True
 
 
+def _lift(sig, rank, sp, basis, order, witness, skip=0):
+    """Syzygy of one S-pair: its own terms minus the quotients of sp.
+
+    sig maps (component, exponent) to coefficient in R^rank and is updated in
+    place. Quotient k of sp over basis lands in component k - skip; quotients
+    outside components 0..rank-1 are dropped. A nonzero remainder raises
+    ContractViolation with the message witness().
+    """
+    if not sp.is_zero:
+        quots, rem = divide(sp, basis, order)
+        if not rem.is_zero:
+            raise ContractViolation(witness())
+        for k in range(skip, min(len(basis), skip + rank)):
+            for (_, e), c in quots[k].terms:
+                prev = sig.get((k - skip, e))
+                sig[(k - skip, e)] = -c if prev is None else prev - c
+    return ModuleElement(sp.ring, rank, sig)
+
+
+def _schreyer(h, g_u, order, what):
+    """Schreyer syzygies of h relative to g_u, with their Schreyer order.
+
+    Every S-pair of full = h + g_u is divided over full once. A pair with an
+    element of h is lifted into a syzygy projected onto R^len(h); zero
+    projections are dropped. A pair inside g_u is only checked. A pair that
+    does not reduce to zero raises ContractViolation saying the input is
+    `what`, with elements numbered over h, then g_u.
+    """
+    t = len(h)
+    full = list(h) + list(g_u)
+    one = full[0].ring.field.one
+    leads = [x.leading(order) for x in full]
+    sord = SchreyerOrder(tuple(m for m, _ in leads[:t]), order)
+    recs = []
+    for j in range(1, len(full)):
+        for i in range(j):
+            if leads[i][0][0] != leads[j][0][0]:
+                continue
+            ti, tj = _cofactors(leads[i], leads[j], one)
+            sp = full[i].mul_term(*ti) - full[j].mul_term(*tj)
+            sig = {(i, ti[1]): ti[0]} if i < t else {}
+            if j < t:
+                sig[(j, tj[1])] = -tj[0]
+            sig = _lift(
+                sig, t, sp, full, order,
+                lambda: "input is %s: S-polynomial of elements %d and %d does not reduce to zero"
+                % (what, i + 1, j + 1),
+            )
+            if i < t and not sig.is_zero:
+                recs.append((i, j, sig))
+    recs.sort(key=lambda rec: (rec[0], sord.key(rec[2].leading(sord)[0]), rec[1]))
+    return [sig for _, _, sig in recs], sord
+
+
 def schreyer_syzygies(G, order, minimal=False):
     """Schreyer generators of the syzygies of a Groebner basis.
 
     Returns (syzygies, schreyer_order); each syzygy sigma satisfies
-    sum(sigma_k * G[k]) = 0 and is expressed in R^len(G).
+    sum(sigma_k * G[k]) = 0 and is expressed in R^len(G). With minimal, only
+    syzygies with minimal leading monomials are kept, in the same order.
     """
-    ring = G[0].ring
-    one = ring.field.one
-    t = len(G)
-    leads = [g.leading(order) for g in G]
-    sord = SchreyerOrder(tuple(m for m, _ in leads), order)
-    recs = []
-    for j in range(t):
-        for i in range(j):
-            (mi, ci), (mj, cj) = leads[i], leads[j]
-            if mi[0] != mj[0]:
-                continue
-            lam = exp_lcm(mi[1], mj[1])
-            ti = (one / ci, exp_sub(lam, mi[1]))
-            tj = (one / cj, exp_sub(lam, mj[1]))
-            sp = G[i].mul_term(*ti) - G[j].mul_term(*tj)
-            sig = ModuleElement.monomial(ring, t, i, ti[1], ti[0]) - ModuleElement.monomial(
-                ring, t, j, tj[1], tj[0]
-            )
-            if not sp.is_zero:
-                quots, r = divide(sp, G, order)
-                if not r.is_zero:
-                    raise ContractViolation("syzygy computation requires a Groebner basis")
-                for k, q in enumerate(quots):
-                    if not q.is_zero:
-                        sig = sig - ModuleElement.monomial(ring, t, k, (0,) * ring.n).mul_poly(q)
-            recs.append((i, j, sig))
-    recs.sort(key=lambda rec: (rec[0], sord.key(rec[2].leading(sord)[0]), rec[1]))
-    out = [sig for _, _, sig in recs]
+    out, sord = _schreyer(G, [], order, "not a Groebner basis")
     if minimal:
-        scan = sorted(range(len(out)), key=lambda k: (sord.key(out[k].leading(sord)[0]), k))
-        kept_lms, kept = [], set()
-        for k in scan:
-            lm = out[k].leading(sord)[0]
-            if not any(mon_divides(m, lm) for m in kept_lms):
-                kept_lms.append(lm)
-                kept.add(k)
-        out = [sig for k, sig in enumerate(out) if k in kept]
+        out = [out[k] for k in sorted(_minimal_indices(out, sord))]
     return out, sord

@@ -67,7 +67,11 @@ class ModuleOrder:
         return (self.base.key(exp), self.comp_rank[comp])
 
     def for_rank(self, rank):
-        """Same order style on a free module of another rank."""
+        """Same order style on a free module of another rank.
+
+        A component permutation fits only its own rank, so at any other rank
+        it falls back to "desc"; "asc" and "desc" carry over.
+        """
         if rank == self.rank:
             return self
         direction = self.comp_dir if self.comp_dir in ("desc", "asc") else "desc"

@@ -460,11 +460,6 @@ class TestVerify:
         )
         assert (code, out) == (0, "exact\n")
 
-    def test_thread_env_accepted(self, files, monkeypatch, capsys):
-        monkeypatch.setenv("RELGB_THREADS", "2")
-        code, out, err = run_cli(monkeypatch, capsys, "verify", files["res2.res"])
-        assert (code, out) == (0, "exact\n")
-
     def test_failure_reported(self, files, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.res"
         bad.write_text(RES2_OUT.split("D2:")[0])
@@ -495,6 +490,15 @@ class TestFlange:
         )
         assert code == 2
         assert "S-polynomial of columns 1 and 2" in err
+
+    def test_flange_gb_unsupported_is_contract_violation(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.fim"
+        bad.write_text(
+            ATILDE_FIM.split("cogens:")[0] + "cogens: (1,0)\ngens: (0,1)\nrows:\n1\n"
+        )
+        code, out, err = run_cli(monkeypatch, capsys, "flange-gb", str(bad))
+        assert code == 2
+        assert "support condition" in err
 
 
 class TestHomologyAndDiagrams:

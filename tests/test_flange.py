@@ -142,8 +142,9 @@ class TestFreePresentation:
         assert got == grid
 
     def test_requires_groebner_form(self, ring2, order):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation) as err:
             free_presentation(fim_small(ring2), order)
+        assert "S-polynomial of columns 1 and 2" in str(err.value)
 
     def test_presentation_is_homogeneous(self, ring2, order):
         assert free_presentation(fim_small_completed(ring2), order).is_homogeneous()

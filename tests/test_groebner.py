@@ -23,9 +23,11 @@ from subquo import (
     parse_field,
     parse_order,
     reduce_groebner,
+    relative_division,
     s_polynomial,
     schreyer_syzygies,
 )
+from subquo.elements import mon_divides
 
 from conftest import els, fmts, random_element, random_ring
 
@@ -340,5 +342,41 @@ class TestCompletionProperties:
             assert all(normal_form(f, G, order).is_zero for f in gens)
             shuffled = buchberger([gens[k] for k in perm], order)
             assert reduce_groebner(shuffled, order) == reduce_groebner(G, order)
+
+        check()
+
+    def test_relative_division_identity_and_remainder(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def cases(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            rank = draw(st.integers(1, 2))
+            ring = Ring(2, field, ("X", "Y"))
+            spec = draw(st.sampled_from(["grevlex X Y ; pot desc", "lex X Y ; top desc"]))
+            order = parse_order(spec, ring, rank)
+            exp = st.tuples(st.integers(0, 3), st.integers(0, 3))
+            mon = st.tuples(st.integers(0, rank - 1), exp)
+            coeff = st.integers(-3, 3).filter(bool).map(field.from_int)
+            elem = st.dictionaries(mon, coeff, max_size=4).map(lambda d: ModuleElement(ring, rank, d))
+            u_gens = draw(st.lists(elem, max_size=3))
+            h = draw(st.lists(elem, max_size=3))
+            return draw(elem), u_gens, h, order
+
+        @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @hyp.given(cases())
+        def check(case):
+            f, u_gens, h, order = case
+            g_u = buchberger(u_gens, order)
+            rem, quots = relative_division(f, g_u, h, order)
+            assert len(quots) == len(h)
+            rest = f - rem
+            for q, x in zip(quots, h):
+                rest = rest - x.mul_poly(q)
+            assert normal_form(rest, g_u, order).is_zero
+            leads = [g.leading(order)[0] for g in g_u + h if not g.is_zero]
+            for mon, _ in rem.terms:
+                assert not any(mon_divides(lm, mon) for lm in leads)
 
         check()

@@ -16,9 +16,10 @@ from subquo import (
     relative_buchberger,
     relative_division,
     relative_schreyer,
+    schreyer_syzygies,
 )
 
-from conftest import DEG5_U, DEG5_V, els, fmts, random_element
+from conftest import DEG5_U, DEG5_V, R2_U, R6_U, els, fmts, random_element
 
 
 def deg5_setup(ring_xy):
@@ -133,3 +134,12 @@ class TestRelativeSchreyer:
         syz, _ = relative_schreyer(h, g_u, order)
         assert all(not s.is_zero for s in syz)
         assert all(s.rank == len(h) for s in syz)
+
+    @pytest.mark.parametrize("rank, texts", [(2, R2_U), (6, R6_U)], ids=["rank2", "rank6"])
+    def test_empty_inner_matches_schreyer_syzygies(self, ring2, rank, texts):
+        order = parse_order("grevlex X1 X2 ; pot desc", ring2, rank)
+        G = reduce_groebner(buchberger(els(ring2, rank, texts), order), order)
+        ours, rel_sord = relative_schreyer(G, [], order)
+        theirs, sord = schreyer_syzygies(G, order)
+        assert ours and ours == theirs
+        assert fmts(ours, rel_sord) == fmts(theirs, sord)
