@@ -94,35 +94,91 @@ def degrees_in_box(lo, hi):
         yield tuple(reversed(rest))
 
 
+def _sparse(rows):
+    """Nonzero entries of dense rows, as {column: value} dicts."""
+    return [{c: a for c, a in enumerate(r) if a} for r in rows]
+
+
+def _axpy(row, f, tail):
+    """Add f times tail to the sparse row in place, dropping cancelled entries."""
+    for k, b in tail.items():
+        v = row.get(k)
+        if v is None:
+            row[k] = f * b
+        else:
+            v += f * b
+            if v:
+                row[k] = v
+            else:
+                del row[k]
+
+
+def _add_row(pivots, row):
+    """Sparse exact elimination step: reduce row into the echelon form pivots.
+
+    pivots maps each pivot column to the rest of its row, scaled so that the
+    entry at the pivot column (not stored) is 1; every stored column is
+    larger. The row, a {column: nonzero} dict, is consumed: it is reduced
+    only by the pivots at columns it still holds, from the lowest one up.
+    Returns True, and keeps the row as a new pivot, when it raised the rank.
+    """
+    while row:
+        c = min(row)
+        tail = pivots.get(c)
+        if tail is None:
+            lead = row.pop(c)
+            pivots[c] = {k: v / lead for k, v in row.items()}
+            return True
+        _axpy(row, -row.pop(c), tail)
+    return False
+
+
+def _rank(rows):
+    """Exact rank of sparse rows, with no back-substitution."""
+    pivots = {}
+    return sum(_add_row(pivots, r) for r in rows)
+
+
 def rref(rows):
-    """Reduced row echelon form over an exact field, returning (rows, pivots)."""
+    """Reduced row echelon form over an exact field, returning (rows, pivots).
+
+    Elimination is sparse and exact (zero entries are never touched), and the
+    reduced row echelon form is unique, so the pivot strategy cannot change
+    the result: the pivot rows come first, by pivot column, then zero rows.
+    """
     rows = [list(r) for r in rows]
-    if not rows:
+    sparse = _sparse(rows)
+    a = next((a for r in sparse for a in r.values()), None)
+    if a is None:
         return rows, []
+    one, zero = a / a, a - a  # field constants of the entries' type
+    pivots = {}
+    for r in sparse:
+        _add_row(pivots, r)
+    cols = sorted(pivots)
+    for c in reversed(cols):
+        tail = pivots[c]
+        for k in [k for k in tail if k in pivots]:
+            _axpy(tail, -tail.pop(k), pivots[k])
     ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [a / piv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    red = []
+    for c in cols:
+        row = [zero] * ncols
+        row[c] = one
+        for k, v in pivots[c].items():
+            row[k] = v
+        red.append(row)
+    red.extend([zero] * ncols for _ in range(len(rows) - len(cols)))
+    return red, cols
 
 
 def matrix_rank(rows):
-    """Exact rank of a matrix given as a list of rows."""
-    return len(rref(rows)[1])
+    """Exact rank of a matrix given as a list of rows.
+
+    Elimination is sparse and exact, with no back-substitution; the rank
+    does not depend on the pivot order.
+    """
+    return _rank(_sparse(rows))
 
 
 def nullspace_basis(rows, ncols, field):
@@ -214,29 +270,39 @@ class GradedMatrix:
                     return False
         return True
 
+    def _degree_columns(self, a):
+        """Sparse columns {row position: value} of the degree-a piece, with
+        the domain and codomain indices of degree_matrix."""
+        cod = [i for i, s in enumerate(self.row_shifts) if deg_leq(s, a)]
+        dom = [j for j, s in enumerate(self.col_shifts) if deg_leq(s, a)]
+        pos = {i: r for r, i in enumerate(cod)}
+        cols = []
+        for j in dom:
+            col = {}
+            for (i, e), c in self.cols[j].terms:
+                if exp_add(e, self.row_shifts[i]) != self.col_shifts[j]:
+                    raise ContractViolation("inhomogeneous column %d" % (j + 1))
+                col[pos[i]] = c
+            cols.append(col)
+        return cols, dom, cod
+
     def degree_matrix(self, a):
         """Rows-over-field matrix of the degree-a piece of the map.
 
         Returns (rows, dom_index, cod_index): dom_index and cod_index list the
         components of the domain and codomain with a basis monomial in degree a.
         """
-        field = self.ring.field
-        cod = [i for i, s in enumerate(self.row_shifts) if deg_leq(s, a)]
-        dom = [j for j, s in enumerate(self.col_shifts) if deg_leq(s, a)]
-        pos = {i: r for r, i in enumerate(cod)}
-        rows = [[field.zero] * len(dom) for _ in cod]
-        for cidx, j in enumerate(dom):
-            shifted = self.cols[j].mul_term(field.one, exp_sub(a, self.col_shifts[j]))
-            for (i, e), c in shifted.terms:
-                if exp_add(e, self.row_shifts[i]) != a:
-                    raise ContractViolation("inhomogeneous column %d" % (j + 1))
-                rows[pos[i]][cidx] = c
+        cols, dom, cod = self._degree_columns(a)
+        rows = [[self.ring.field.zero] * len(dom) for _ in cod]
+        for cidx, col in enumerate(cols):
+            for r, c in col.items():
+                rows[r][cidx] = c
         return rows, dom, cod
 
     def degree_rank(self, a):
-        """Exact rank of the degree-a piece of the map."""
-        rows, _, _ = self.degree_matrix(a)
-        return matrix_rank(rows)
+        """Exact rank of the degree-a piece of the map, by sparse exact
+        elimination of its columns (the rank of the transpose)."""
+        return _rank(self._degree_columns(a)[0])
 
     def __eq__(self, other):
         return (
@@ -273,7 +339,11 @@ def graded_dimension(v_gens, u_gens, shifts, a):
     """Exact dimension of the degree-a piece of the subquotient V/U.
 
     V is spanned by v_gens together with u_gens, U by u_gens alone; all
-    generators must be homogeneous for the given ambient shifts.
+    generators must be homogeneous for the given ambient shifts. One sparse
+    exact elimination takes the U rows first and then the v_gens rows: the
+    dimension, rank(V) - rank(U), is the number of v_gens rows that still
+    raise the rank. The echelon form does not depend on the pivot order, so
+    neither does the count.
     """
     gens = [g for g in list(v_gens) + list(u_gens) if not g.is_zero]
     if not gens:
@@ -288,9 +358,12 @@ def graded_dimension(v_gens, u_gens, shifts, a):
     ]
     if not coords:
         return 0
-    v_rows = _gen_rows(list(v_gens) + list(u_gens), shifts, a, coords, field)
-    u_rows = _gen_rows(list(u_gens), shifts, a, coords, field)
-    return matrix_rank(v_rows) - matrix_rank(u_rows)
+    v_rows = _sparse(_gen_rows(v_gens, shifts, a, coords, field))
+    u_rows = _sparse(_gen_rows(u_gens, shifts, a, coords, field))
+    pivots = {}
+    for row in u_rows:
+        _add_row(pivots, row)
+    return sum(_add_row(pivots, row) for row in v_rows)
 
 
 def presentation_dimension(mat, a):

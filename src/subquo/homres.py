@@ -4,13 +4,13 @@ from .elements import ModuleElement, exp_add
 from .errors import ContractViolation, InputError
 from .graded import (
     GradedMatrix,
+    _add_row,
     deg_join,
     deg_leq,
     deg_meet,
     degrees_in_box,
     element_degree,
     graded_dimension,
-    matrix_rank,
     monomialize,
     nullspace_basis,
 )
@@ -197,14 +197,14 @@ def prune_minimize(res):
         while True:
             lv = levels[idx]
             pivot = None
-            for r in range(len(lv["rows"])):
-                for c in range(len(lv["cols"])):
-                    a = lv["mat"][c].coeff(r, zero_exp)
-                    if a:
-                        pivot = (r, c, a)
+            for c, col in enumerate(lv["mat"]):
+                # terms are sorted by (component, exponent), so the first
+                # constant term of a column sits in its lowest row
+                for (r, e), a in col.terms:
+                    if e == zero_exp:
+                        if pivot is None or r < pivot[0]:
+                            pivot = (r, c, a)
                         break
-                if pivot:
-                    break
             if pivot is None:
                 break
             r, c, a = pivot
@@ -404,20 +404,16 @@ def module_from_diagram(diag):
     gens = []
     for a in sorted(diag.dims, key=lambda d: (sum(d), tuple(reversed(d)))):
         da = diag.dim(a)
-        below = []
+        pivots = {}  # echelon form of the span of the images from below
         for k in range(ring.n):
             src = tuple(x - y for x, y in zip(a, diag._unit(k)))
             if any(x < 0 for x in src) or not diag.dim(src):
                 continue
             m = diag.map(k, src)
-            below.extend([m[r][c] for r in range(da)] for c in range(diag.dim(src)))
-        rank0 = matrix_rank(below)
+            for c in range(diag.dim(src)):
+                _add_row(pivots, {r: m[r][c] for r in range(da) if m[r][c]})
         for idx in range(da):
-            e = [field.zero] * da
-            e[idx] = field.one
-            if matrix_rank(below + [e]) > rank0:
-                below.append(e)
-                rank0 += 1
+            if _add_row(pivots, {idx: field.one}):
                 gens.append((a, idx))
     s = len(gens)
     bdegs = [a for a, _ in gens]

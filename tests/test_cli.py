@@ -448,6 +448,15 @@ class TestResolutions:
         code, out, err = run_cli(monkeypatch, capsys, "betti", files["min2.res"])
         assert (code, out) == (0, "2 4 2\n")
 
+    def test_inhomogeneous_resolution_is_input_error(self, tmp_path, monkeypatch, capsys):
+        head = "n: 3\nvars: X Y Z\nfield: q\nrank: 1\norder: grevlex X Y Z ; pot desc\nelements:\n"
+        u, v = tmp_path / "u.mod", tmp_path / "v.mod"
+        u.write_text(head + "X^5*e1\nY^5*e1\nZ^5*e1\n")
+        v.write_text(head + "X^2*e1+Y*e1\nY^2*e1+Z^3*e1\nX*Z*e1\n")
+        code, out, err = run_cli(monkeypatch, capsys, "resolution", str(u), str(v))
+        assert (code, out) == (1, "")
+        assert "element <Y+X^2> is not homogeneous" in err
+
 
 class TestVerify:
     def test_exact(self, files, monkeypatch, capsys):

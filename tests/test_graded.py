@@ -1,10 +1,11 @@
 """Tests for fine degrees, graded matrices, and exact graded dimensions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from subquo.elements import ModuleElement, PrimeField, QQ, parse_element
+from subquo.elements import ModuleElement, PrimeField, QQ, Ring, exp_sub, parse_element, parse_field
 from subquo.errors import ContractViolation, InputError
 from subquo.graded import (
     GradedMatrix,
@@ -158,6 +159,141 @@ class TestLinearAlgebra:
         assert matrix_rank([list(r) for r in rows]) == 1
         basis = nullspace_basis(rows, 2, f5)
         assert basis == [[f5.from_int(3), f5.one]]
+
+
+class TestEdgeShapes:
+    """Values the dense Gauss-Jordan rref returned, frozen for the sparse kernel."""
+
+    def test_no_columns(self):
+        assert rref([[], []]) == ([[], []], [])
+        assert rref([]) == ([], [])
+        assert matrix_rank([[], []]) == 0
+
+    def test_all_zero(self):
+        rows = qgrid(QQ, [[0, 0], [0, 0], [0, 0]])
+        assert rref(rows) == (qgrid(QQ, [[0, 0], [0, 0], [0, 0]]), [])
+        assert matrix_rank(rows) == 0
+        assert nullspace_basis(rows, 2, QQ) == qgrid(QQ, [[1, 0], [0, 1]])
+
+    def test_single_row(self):
+        assert rref(qgrid(QQ, [[0, 2, 4]])) == (qgrid(QQ, [[0, 1, 2]]), [1])
+
+    def test_pivot_rows_first(self):
+        rows = qgrid(QQ, [[0, 0], [0, 3], [2, 0]])
+        assert rref(rows) == (qgrid(QQ, [[1, 0], [0, 1], [0, 0]]), [0, 1])
+
+    def test_prime_field_rows_reduce_to_zero(self):
+        f5 = PrimeField(5)
+        red, piv = rref(qgrid(f5, [[2, 4, 1], [1, 2, 3], [3, 1, 4]]))
+        # FpValue equality also checks the type of every zero
+        assert (red, piv) == (qgrid(f5, [[1, 2, 3], [0, 0, 0], [0, 0, 0]]), [0])
+        red, piv = rref(qgrid(f5, [[0, 0], [2, 4]]))
+        assert (red, piv) == (qgrid(f5, [[1, 2], [0, 0]]), [0])
+
+
+def _dense_rank(rows):
+    """Reference rank: textbook dense Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestEliminationProperties:
+    @staticmethod
+    def matrices(st):
+        """Small sparse matrices, tall or wide, with zero and dependent rows."""
+
+        @st.composite
+        def draw_matrix(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+            zeros = draw(st.integers(0, 6))
+            entry = st.sampled_from([0] * zeros + [1, -1, 2, -3, 7])
+            dead = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2))
+            rows = []
+            for _ in range(nrows):
+                kind = draw(st.sampled_from(["free", "combination", "zero"]))
+                if kind == "combination" and len(rows) >= 2:
+                    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+                    a, b = draw(entry), draw(entry)
+                    rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+                elif kind == "zero":
+                    rows.append([0] * ncols)
+                else:
+                    rows.append([0 if c in dead else draw(entry) for c in range(ncols)])
+            return field, ncols, qgrid(field, rows)
+
+        return draw_matrix()
+
+    def check(self, prop):
+        hyp = pytest.importorskip("hypothesis")
+        settings = hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        settings(hyp.given(self.matrices(hyp.strategies))(prop))()
+
+    def test_rank_and_rref_against_references(self):
+        sympy = pytest.importorskip("sympy")
+
+        def prop(case):
+            field, ncols, rows = case
+            rank = matrix_rank(rows)
+            red, piv = rref(rows)
+            assert rank == len(piv) == _dense_rank(rows)
+            if field == QQ:
+                flat = [sympy.Rational(a.numerator, a.denominator) for r in rows for a in r]
+                mat = sympy.Matrix(len(rows), ncols, flat)
+                assert rank == mat.rank()
+                sred, spiv = mat.rref()
+                assert piv == list(spiv)
+                assert red == [[Fraction(int(a.p), int(a.q)) for a in r] for r in sred.tolist()]
+            else:
+                for k, c in enumerate(piv):
+                    assert not any(red[k][:c])
+                    unit = [field.zero] * len(red)
+                    unit[k] = field.one
+                    assert [r[c] for r in red] == unit
+                assert _dense_rank(rows + red) == rank
+
+        self.check(prop)
+
+    def test_nullspace_annihilates_rows(self):
+        def prop(case):
+            field, ncols, rows = case
+            basis = nullspace_basis(rows, ncols, field)
+            assert len(basis) == ncols - matrix_rank(rows)
+            assert _dense_rank(basis) == len(basis)
+            for v in basis:
+                for r in rows:
+                    assert sum((a * b for a, b in zip(r, v)), field.zero) == field.zero
+
+        self.check(prop)
+
+    @pytest.mark.parametrize("field", ["q", "fp:32003"])
+    def test_graded_dimension_two_rank_recount(self, field):
+        ring = Ring(2, parse_field(field), ("X1", "X2"))
+        v, u = els(ring, 6, R6_V), els(ring, 6, R6_U)
+        shifts = ((0, 0),) * 6
+
+        def dense_rows(gens, a):
+            rows = []
+            for g in gens:
+                b = element_degree(g)
+                if deg_leq(b, a):
+                    shifted = g.mul_term(ring.field.one, exp_sub(a, b))
+                    rows.append([shifted.coeff(i, a) for i in range(6)])
+            return rows
+
+        recount = [_dense_rank(dense_rows(v + u, a)) - _dense_rank(dense_rows(u, a)) for a in BOX32]
+        assert recount == DIMS32
+        assert [graded_dimension(v, u, shifts, a) for a in BOX32] == recount
 
 
 class TestGradedMatrix:

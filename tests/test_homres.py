@@ -1,5 +1,7 @@
 """Tests for homology presentations, resolutions, pruning, and diagrams."""
 
+from itertools import product
+
 import pytest
 
 from subquo.elements import ModuleElement, QQ, parse_element
@@ -171,6 +173,16 @@ class TestFreeResolution:
         with pytest.raises(InputError):
             free_resolution([], [], order2)
 
+    def test_inhomogeneous_generators_of_a_graded_span(self, ring_xy):
+        # only the span must be graded: a check on each generator would
+        # reject this input, whose relative basis is X^2, X*Y
+        order = parse_order("grevlex X Y ; pot desc", ring_xy, 1)
+        u = els(ring_xy, 1, ["X^3*e1", "Y^3*e1"])
+        mixed = free_resolution(els(ring_xy, 1, ["X^2*e1+X*Y*e1", "X*Y*e1"]), u, order)
+        plain = free_resolution(els(ring_xy, 1, ["X^2*e1", "X*Y*e1"]), u, order)
+        assert (mixed.gens, mixed.diffs) == (plain.gens, plain.diffs)
+        assert verify_complex(mixed)[0]
+
 
 class TestPruneMinimize:
     def test_staircase_rank2_minimized_frozen(self, ring2, order2):
@@ -195,6 +207,18 @@ class TestPruneMinimize:
             ["X1^2", "-X1^3"],
         ]
         assert verify_complex(res)[0]
+
+    def test_pivot_lowest_row_then_lowest_column(self, ring_xyz):
+        # on m/m^3 a pivot at a later column of the same row leaves the
+        # columns of the last differential in another order
+        order = parse_order("grevlex X Y Z ; pot desc", ring_xyz, 1)
+        cube = ["X^%d*Y^%d*Z^%d*e1" % e for e in product(range(4), repeat=3) if sum(e) == 3]
+        v = els(ring_xyz, 1, ["X*e1", "Y*e1", "Z*e1"])
+        res = prune_minimize(free_resolution(v, els(ring_xyz, 1, cube), order))
+        assert betti_numbers(res) == (3, 13, 16, 6)
+        assert res.diffs[-1].col_shifts == (
+            (3, 1, 1), (2, 2, 1), (1, 3, 1), (2, 1, 2), (1, 1, 3), (1, 2, 2)
+        )
 
     def test_staircase_rank6_betti(self, ring2, order2):
         res = free_resolution(els(ring2, 6, R6_V), els(ring2, 6, R6_U), order2)
