@@ -54,7 +54,10 @@ def _parse_box(text, n):
     lo_text, sep, hi_text = text.partition("..")
     if not sep:
         raise InputError("box %r must be written as LO..HI" % text)
-    return parse_degree(lo_text.strip(), n), parse_degree(hi_text.strip(), n)
+    lo, hi = parse_degree(lo_text.strip(), n), parse_degree(hi_text.strip(), n)
+    if any(x > y for x, y in zip(lo, hi)):
+        raise InputError("box %r is empty: LO must not exceed HI in any coordinate" % text)
+    return lo, hi
 
 
 def _read(path):
@@ -206,9 +209,9 @@ def betti(res_file, field_text):
 @_FIELD_OPT
 def hilbert(u_file, v_file, degree_text, box_text, order_text, field_text):
     """Graded dimensions of V/U at a degree or over a box of degrees."""
+    if (degree_text is None) == (box_text is None):
+        raise click.UsageError("pass --degree or --box, not both" if box_text else "pass --degree or --box")
     ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
-    if degree_text is None and box_text is None:
-        raise click.UsageError("pass --degree or --box")
     if degree_text is not None:
         degs = [parse_degree(degree_text, ring.n)]
     else:

@@ -2,7 +2,7 @@
 
 import re
 
-from .elements import format_element, parse_element, parse_field, QQ, Ring
+from .elements import ModuleElement, format_element, parse_element, parse_field, QQ, Ring
 from .errors import InputError
 from .flange import FreeInjectiveMatrix
 from .graded import GradedMatrix, format_degree, parse_degree
@@ -112,6 +112,7 @@ def _read_matrix_block(cur, ring, name):
     _expect_section(cur, name)
     row_shifts = _read_shift_line(cur, "rows", ring.n)
     col_shifts = _read_shift_line(cur, "cols", ring.n)
+    zero = ModuleElement.zero(ring, 1)
     entries = []
     for _ in row_shifts:
         if not col_shifts:
@@ -120,7 +121,7 @@ def _read_matrix_block(cur, ring, name):
         toks = cur.next().split()
         if len(toks) != len(col_shifts):
             raise InputError("matrix %s row has %d entries, expected %d" % (name, len(toks), len(col_shifts)))
-        entries.append([parse_element(t, ring, 1) for t in toks])
+        entries.append([zero if t == "0" else parse_element(t, ring, 1) for t in toks])
     return GradedMatrix.from_entries(ring, row_shifts, col_shifts, entries)
 
 
@@ -128,9 +129,14 @@ def _emit_matrix_block(out, mat, name):
     out.append(name + ":")
     out.append("rows: " + " ".join(format_degree(s) for s in mat.row_shifts))
     out.append("cols: " + " ".join(format_degree(s) for s in mat.col_shifts))
-    for i in range(mat.nrows):
-        if mat.ncols:
-            out.append(" ".join(format_element(mat.entry(i, j)) for j in range(mat.ncols)))
+    grid = [["0"] * mat.ncols for _ in range(mat.nrows)] if mat.ncols else []
+    for j, col in enumerate(mat.cols):
+        cells = {}
+        for (i, e), c in col.terms:
+            cells.setdefault(i, {})[(0, e)] = c
+        for i, cell in cells.items():
+            grid[i][j] = format_element(ModuleElement(mat.ring, 1, cell))
+    out.extend(" ".join(row) for row in grid)
 
 
 def _order_for(headers, ring, rank, override=None):

@@ -217,17 +217,12 @@ class GradedMatrix:
         nrows, ncols = len(row_shifts), len(col_shifts)
         if len(entries) != nrows or any(len(row) != ncols for row in entries):
             raise InputError("entry grid does not match %dx%d" % (nrows, ncols))
-        cols = []
-        for j in range(ncols):
-            col = ModuleElement.zero(ring, nrows)
-            for i in range(nrows):
-                p = entries[i][j]
-                if not p.is_zero:
-                    col = col + ModuleElement(
-                        ring, nrows, {(i, e): c for (_, e), c in p.terms}
-                    )
-            cols.append(col)
-        return cls(ring, row_shifts, col_shifts, cols)
+        cols = [{} for _ in range(ncols)]
+        for i, row in enumerate(entries):
+            for col, p in zip(cols, row):
+                for (_, e), c in p.terms:
+                    col[(i, e)] = c
+        return cls(ring, row_shifts, col_shifts, [ModuleElement(ring, nrows, d) for d in cols])
 
     @property
     def nrows(self):

@@ -5,12 +5,14 @@ from .errors import ContractViolation, InputError
 from .graded import (
     GradedMatrix,
     _add_row,
+    _axpy,
     deg_join,
     deg_leq,
     deg_meet,
     degrees_in_box,
     element_degree,
     graded_dimension,
+    is_homogeneous,
     monomialize,
     nullspace_basis,
 )
@@ -145,6 +147,9 @@ def free_resolution(v_gens, u_gens, order, shifts=None, length=None):
         shifts = ((0,) * ring.n,) * rank
     aorder = order.for_rank(rank)
     g_u = _inner_basis(u_gens, aorder)
+    for g in g_u:  # the reduced basis is homogeneous exactly when U is graded
+        if not is_homogeneous(g, shifts):
+            raise InputError("inner module element %r is not homogeneous" % g)
     h = reduce_relative(relative_buchberger(v_gens, g_u, aorder), g_u, aorder)
     res = Resolution(ring, order, shifts, g_u, h, [])
     if not h:
@@ -162,88 +167,59 @@ def free_resolution(v_gens, u_gens, order, shifts=None, length=None):
     return res
 
 
-def _drop_component(col, r):
-    """Remove component r from a column, shifting higher components down."""
-    d = {}
-    for (i, e), c in col.terms:
-        if i != r:
-            d[(i - 1 if i > r else i, e)] = c
-    return ModuleElement(col.ring, col.rank - 1, d)
-
-
-def _entry_terms(col, r):
-    """Terms of a column sitting in component r."""
-    return [(e, c) for (i, e), c in col.terms if i == r]
-
-
 def prune_minimize(res):
     """Minimize a resolution by cancelling constant entries, then dropping
-    redundant columns of the last differential and normalizing leads."""
+    redundant columns of the last differential and normalizing leads.
+
+    Cancellation works in place on sparse {(row, exp): coeff} columns kept
+    under their original indices, with one alive set per free module (F_0
+    holds the generators, F_k the columns of D_k). In D_(k+1) the pivot is a
+    constant entry a at the lowest alive row r, then the lowest alive column
+    c. Every other alive column l with entry b*x^d in row r loses (b/a)*x^d
+    times column c, and r and c are marked dead. That column operation
+    replaces e_l by e_l - (b/a)*x^d*e_c in F_(k+1), so it changes the columns
+    of D_(k+2) only in coordinate e_c, which dies with c: they need no
+    update. Entries in dead rows are ignored, and the survivors are
+    renumbered once, in order, at the end; since renumbering keeps the
+    order, the pivots are those of dropping each pair as it is cancelled.
+    """
     ring = res.ring
-    field = ring.field
     zero_exp = (0,) * ring.n
-    gens = list(res.gens)
-    levels = [
-        {"rows": list(d.row_shifts), "cols": list(d.col_shifts), "mat": list(d.cols)}
-        for d in res.diffs
-    ]
-
-    def drop_row(level, r):
-        lv = levels[level]
-        lv["rows"].pop(r)
-        lv["mat"] = [_drop_component(col, r) for col in lv["mat"]]
-
-    for idx in range(len(levels)):
+    sparse = [[dict(col.terms) for col in d.cols] for d in res.diffs]
+    alive = [set(range(len(res.gens)))] + [set(range(d.ncols)) for d in res.diffs]
+    for idx, cols in enumerate(sparse):
+        rows, live = alive[idx], alive[idx + 1]
         while True:
-            lv = levels[idx]
             pivot = None
-            for c, col in enumerate(lv["mat"]):
-                # terms are sorted by (component, exponent), so the first
-                # constant term of a column sits in its lowest row
-                for (r, e), a in col.terms:
-                    if e == zero_exp:
-                        if pivot is None or r < pivot[0]:
-                            pivot = (r, c, a)
-                        break
+            for c in sorted(live):
+                for (r, e), a in cols[c].items():
+                    if e == zero_exp and r in rows and (pivot is None or r < pivot[0]):
+                        pivot = (r, c, a)
             if pivot is None:
                 break
             r, c, a = pivot
-            pcol = lv["mat"][c]
-            for l in range(len(lv["cols"])):
-                if l == c:
-                    continue
-                entry = _entry_terms(lv["mat"][l], r)
+            for l in live - {c}:
+                entry = [(e, b) for (i, e), b in cols[l].items() if i == r]
                 if not entry:
                     continue
                 if len(entry) != 1:
                     raise ContractViolation("differential %d is not homogeneous" % (idx + 1))
-                (dl, bl), = entry
-                f = bl / a
-                lv["mat"][l] = lv["mat"][l] - pcol.mul_term(f, dl)
-                if idx + 1 < len(levels):
-                    up = levels[idx + 1]
-                    fixed = []
-                    for w in up["mat"]:
-                        add = {}
-                        for (i2, e2), c2 in w.terms:
-                            if i2 == l:
-                                key = (c, exp_add(e2, dl))
-                                add[key] = add.get(key, field.zero) + c2 * f
-                        if add:
-                            w = w + ModuleElement(ring, w.rank, add)
-                        fixed.append(w)
-                    up["mat"] = fixed
-            if idx == 0:
-                gens.pop(r)
-            else:
-                levels[idx - 1]["cols"].pop(r)
-                levels[idx - 1]["mat"].pop(r)
-            drop_row(idx, r)
-            lv["cols"].pop(c)
-            lv["mat"].pop(c)
-            if idx + 1 < len(levels):
-                levels[idx + 1]["rows"].pop(c)
-                levels[idx + 1]["mat"] = [_drop_component(w, c) for w in levels[idx + 1]["mat"]]
+                (dl, b), = entry
+                _axpy(cols[l], -b / a, {(i, exp_add(e, dl)): v for (i, e), v in cols[c].items()})
+            rows.remove(r)
+            live.remove(c)
+    keep = [sorted(s) for s in alive]
+    gens = [res.gens[j] for j in keep[0]]
+    levels = []
+    for idx, d in enumerate(res.diffs):
+        pos = {i: k for k, i in enumerate(keep[idx])}
+        mat = [
+            ModuleElement(ring, len(pos), {(pos[i], e): v for (i, e), v in sparse[idx][j].items() if i in pos})
+            for j in keep[idx + 1]
+        ]
+        levels.append(
+            {"rows": [d.row_shifts[i] for i in keep[idx]], "cols": [d.col_shifts[j] for j in keep[idx + 1]], "mat": mat}
+        )
     while levels and not levels[-1]["mat"]:
         levels.pop()
     if not gens:
@@ -262,24 +238,14 @@ def prune_minimize(res):
                     last["mat"].pop(j)
                     last["cols"].pop(j)
                     stable = False
-    one = field.one
-    for idx, lv in enumerate(levels):
-        mo = res.order.for_rank(len(lv["rows"]))
-        for c in range(len(lv["mat"])):
-            lc = lv["mat"][c].leading(mo)[1]
-            if lc == one:
-                continue
-            lv["mat"][c] = lv["mat"][c].scale(one / lc)
-            if idx + 1 < len(levels):
-                up = levels[idx + 1]
-                fixed = []
-                for w in up["mat"]:
-                    d = {
-                        (i, e): (cf * lc if i == c else cf)
-                        for (i, e), cf in w.terms
-                    }
-                    fixed.append(ModuleElement(ring, w.rank, d))
-                up["mat"] = fixed
+    one = ring.field.one
+    leads = None
+    for lv in levels:
+        mat, mo = lv["mat"], res.order.for_rank(len(lv["rows"]))
+        if leads:  # dividing column c of D_k by its lead multiplies row c of D_(k+1) by it
+            mat = [ModuleElement(ring, w.rank, {(i, e): cf * leads[i] for (i, e), cf in w.terms}) for w in mat]
+        leads = [w.leading(mo)[1] for w in mat]
+        lv["mat"] = [w if lc == one else w.scale(one / lc) for w, lc in zip(mat, leads)]
     diffs = [
         GradedMatrix(ring, lv["rows"], lv["cols"], lv["mat"]) for lv in levels
     ]

@@ -1,6 +1,7 @@
 """Shared rings, frozen example data and random generators for the tests."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -12,9 +13,20 @@ from subquo import (
     Ring,
     VectorDiagram,
     format_element,
+    free_resolution,
     parse_element,
     parse_order,
 )
+
+try:
+    import hypothesis
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Property tests are reproducible: fixed examples, no stored failures,
+    # no per-example time limit. Each test sets its own max_examples.
+    hypothesis.settings.register_profile("subquo", deadline=None, derandomize=True, database=None)
+    hypothesis.settings.load_profile("subquo")
 
 
 @pytest.fixture
@@ -61,6 +73,14 @@ def qgrid(field, ints):
 # running relative-basis example over k[X, Y].
 DEG5_U = ["X^5*e1", "X^4*Y*e1", "X^3*Y^2*e1", "X^2*Y^3*e1", "X*Y^4*e1", "Y^5*e1"]
 DEG5_V = ["Y^3*e1", "X*Y^2*e1+X^3*e1"]
+
+
+def cube_resolution(field):
+    """Non-minimal resolution of m/m^3 over k[X, Y, Z]: V = m, U = m^3."""
+    ring = Ring(3, field, ("X", "Y", "Z"))
+    order = parse_order("grevlex X Y Z ; pot desc", ring, 1)
+    cube = ["X^%d*Y^%d*Z^%d*e1" % e for e in product(range(4), repeat=3) if sum(e) == 3]
+    return free_resolution(els(ring, 1, ["X*e1", "Y*e1", "Z*e1"]), els(ring, 1, cube), order)
 
 
 def middle_complex(ring):

@@ -457,6 +457,15 @@ class TestResolutions:
         assert (code, out) == (1, "")
         assert "element <Y+X^2> is not homogeneous" in err
 
+    def test_inhomogeneous_inner_module_is_input_error(self, tmp_path, monkeypatch, capsys):
+        head = "n: 2\nvars: X Y\nfield: q\nrank: 1\norder: grevlex X Y ; pot desc\nelements:\n"
+        u, v = tmp_path / "u.mod", tmp_path / "v.mod"
+        u.write_text(head + "X^2*e1+Y^3*e1\n")
+        v.write_text(head + "Y*e1\n")
+        code, out, err = run_cli(monkeypatch, capsys, "resolution", str(u), str(v))
+        assert (code, out) == (1, "")
+        assert "inner module element <Y^3+X^2> is not homogeneous" in err
+
 
 class TestVerify:
     def test_exact(self, files, monkeypatch, capsys):
@@ -482,6 +491,13 @@ class TestVerify:
         )
         assert code == 1
         assert "LO..HI" in err
+
+    def test_empty_box_is_input_error(self, files, monkeypatch, capsys):
+        code, out, err = run_cli(
+            monkeypatch, capsys, "verify", files["res2.res"], "--box", "(3,3)..(0,0)"
+        )
+        assert (code, out) == (1, "")
+        assert "is empty" in err
 
 
 class TestFlange:
@@ -557,6 +573,22 @@ class TestHilbert:
         )
         assert code == 1
         assert "--degree or --box" in err
+
+    def test_degree_and_box_together_rejected(self, files, monkeypatch, capsys):
+        code, out, err = run_cli(
+            monkeypatch, capsys, "hilbert", files["u2.mod"], files["v2.mod"],
+            "--degree", "(1,1)", "--box", "(0,0)..(1,1)",
+        )
+        assert (code, out) == (1, "")
+        assert "--degree or --box, not both" in err
+
+    def test_empty_box_is_input_error(self, files, monkeypatch, capsys):
+        code, out, err = run_cli(
+            monkeypatch, capsys, "hilbert", files["u2.mod"], files["v2.mod"],
+            "--box", "(1,0)..(0,1)",
+        )
+        assert (code, out) == (1, "")
+        assert "is empty" in err
 
 
 class TestPlumbing:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from subquo.elements import QQ, parse_element
+from subquo.elements import QQ, parse_element, parse_field
 from subquo.errors import InputError
 from subquo.files import (
     emit_fim_file,
@@ -23,6 +23,7 @@ from subquo.orders import format_order, parse_order
 from conftest import (
     R2_U,
     R2_V,
+    cube_resolution,
     els,
     fim_small,
     middle_complex,
@@ -189,6 +190,15 @@ class TestResolutionFile:
         assert back.diffs == res.diffs
         assert back.ambient_shifts == res.ambient_shifts
         assert back.minimized == res.minimized
+
+    def test_dense_round_trip_fp(self):
+        # non-minimal m/m^3: a dense grid of zeros, constants and monomials
+        res = cube_resolution(parse_field("fp:32003"))
+        text = emit_resolution_file(res)
+        back = parse_resolution_file(text)
+        assert emit_resolution_file(back) == text
+        assert back.gens == res.gens
+        assert back.diffs == res.diffs
 
     def test_missing_ambient_rejected(self, ring2):
         text = emit_resolution_file(staircase_resolution(ring2))

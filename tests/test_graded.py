@@ -236,8 +236,7 @@ class TestEliminationProperties:
 
     def check(self, prop):
         hyp = pytest.importorskip("hypothesis")
-        settings = hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-        settings(hyp.given(self.matrices(hyp.strategies))(prop))()
+        hyp.settings(max_examples=60)(hyp.given(self.matrices(hyp.strategies))(prop))()
 
     def test_rank_and_rref_against_references(self):
         sympy = pytest.importorskip("sympy")

@@ -333,7 +333,7 @@ class TestCompletionProperties:
             gens = draw(st.lists(elem, min_size=1, max_size=3))
             return gens, order, draw(st.permutations(range(len(gens))))
 
-        @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @hyp.settings(max_examples=40)
         @hyp.given(systems())
         def check(case):
             gens, order, perm = case
@@ -364,7 +364,7 @@ class TestCompletionProperties:
             h = draw(st.lists(elem, max_size=3))
             return draw(elem), u_gens, h, order
 
-        @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @hyp.settings(max_examples=40)
         @hyp.given(cases())
         def check(case):
             f, u_gens, h, order = case

@@ -1,11 +1,14 @@
 """Tests for homology presentations, resolutions, pruning, and diagrams."""
 
+import hashlib
 from itertools import product
 
 import pytest
 
-from subquo.elements import ModuleElement, QQ, parse_element
+from subquo import homres
+from subquo.elements import ModuleElement, QQ, Ring, parse_element, parse_field
 from subquo.errors import ContractViolation, InputError
+from subquo.files import emit_resolution_file
 from subquo.graded import GradedMatrix
 from subquo.homres import (
     Resolution,
@@ -25,6 +28,7 @@ from conftest import (
     R2_V,
     R6_U,
     R6_V,
+    cube_resolution,
     els,
     fmts,
     middle_complex,
@@ -173,6 +177,16 @@ class TestFreeResolution:
         with pytest.raises(InputError):
             free_resolution([], [], order2)
 
+    def test_inhomogeneous_inner_module_rejected_first(self, ring_xy, monkeypatch):
+        def never(*args):
+            raise AssertionError("relative completion started")
+
+        monkeypatch.setattr(homres, "relative_buchberger", never)
+        order = parse_order("grevlex X Y ; pot desc", ring_xy, 1)
+        u = els(ring_xy, 1, ["X^2*e1+Y^3*e1"])
+        with pytest.raises(InputError, match=r"inner module element <Y\^3\+X\^2> is not homogeneous"):
+            free_resolution(els(ring_xy, 1, ["Y*e1"]), u, order)
+
     def test_inhomogeneous_generators_of_a_graded_span(self, ring_xy):
         # only the span must be graded: a check on each generator would
         # reject this input, whose relative basis is X^2, X*Y
@@ -208,17 +222,64 @@ class TestPruneMinimize:
         ]
         assert verify_complex(res)[0]
 
-    def test_pivot_lowest_row_then_lowest_column(self, ring_xyz):
+    def test_pivot_lowest_row_then_lowest_column(self):
         # on m/m^3 a pivot at a later column of the same row leaves the
         # columns of the last differential in another order
-        order = parse_order("grevlex X Y Z ; pot desc", ring_xyz, 1)
-        cube = ["X^%d*Y^%d*Z^%d*e1" % e for e in product(range(4), repeat=3) if sum(e) == 3]
-        v = els(ring_xyz, 1, ["X*e1", "Y*e1", "Z*e1"])
-        res = prune_minimize(free_resolution(v, els(ring_xyz, 1, cube), order))
+        res = prune_minimize(cube_resolution(QQ))
         assert betti_numbers(res) == (3, 13, 16, 6)
         assert res.diffs[-1].col_shifts == (
             (3, 1, 1), (2, 2, 1), (1, 3, 1), (2, 1, 2), (1, 1, 3), (1, 2, 2)
         )
+
+    @pytest.mark.parametrize(
+        "field, digest",
+        [
+            ("q", "a0e804b5ba0db9e9a39ead7b06372688301e9a33722e419df28df2ef234a7d32"),
+            ("fp:32003", "96c21765337337107f5566584a944b50e22ca78b00deb7b94795d49d369e9465"),
+        ],
+        ids=["q", "fp:32003"],
+    )
+    def test_minimized_cube_bytes_frozen(self, field, digest):
+        text = emit_resolution_file(prune_minimize(cube_resolution(parse_field(field))))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_pruned_resolutions_are_minimal_and_stable(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def subquotients(draw):
+            # monomials, and binomials c1*x^a*e1 + c2*x^a*e2, are homogeneous
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            n, rank = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+            ring = Ring(n, field, ("X", "Y", "Z")[:n])
+            support = st.sampled_from([(0,), (1,), (0, 1)] if rank == 2 else [(0,)])
+            coeff = st.sampled_from([1, -1, 2, -3]).map(field.from_int)
+            # U holds m^d in every component, so V/U has finite length
+            d = draw(st.sampled_from([2, 3] if n == 2 else [2]))
+
+            def element(top):
+                exp = draw(st.tuples(*[st.integers(0, top)] * n).filter(lambda e: sum(e) <= top))
+                return ModuleElement(ring, rank, {(c, exp): draw(coeff) for c in draw(support)})
+
+            power = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+            u = [ModuleElement(ring, rank, {(c, e): field.one}) for e in power for c in range(rank)]
+            u += [element(d) for _ in range(draw(st.integers(0, 2)))]
+            v = [element(d - 1) for _ in range(draw(st.integers(1, 3)))]
+            return v, u, parse_order("grevlex %s ; pot desc" % " ".join(ring.names), ring, rank)
+
+        @hyp.settings(max_examples=40)
+        @hyp.given(subquotients())
+        def check(case):
+            v, u, order = case
+            res = prune_minimize(free_resolution(v, u, order))
+            zero = (0,) * res.ring.n
+            assert not any(e == zero for d in res.diffs for col in d.cols for (_, e), _ in col.terms)
+            assert verify_complex(res) == (True, [])
+            text = emit_resolution_file(res)
+            assert emit_resolution_file(prune_minimize(res)) == text
+
+        check()
 
     def test_staircase_rank6_betti(self, ring2, order2):
         res = free_resolution(els(ring2, 6, R6_V), els(ring2, 6, R6_U), order2)
