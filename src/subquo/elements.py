@@ -216,14 +216,23 @@ def mon_divides(m1, m2):
 
 
 class ModuleElement:
-    """Immutable element of R^d stored as sparse exact terms."""
+    """Immutable element of R^d stored as sparse exact terms.
 
-    __slots__ = ("ring", "rank", "terms")
+    No element is mutated after construction, and no order is mutated after
+    its own, so `leading` keeps its last result with the order object it was
+    computed under and returns it again for that same object (`is`). The
+    memo holds the order itself, not its id, so an id reused after garbage
+    collection cannot alias. It is not part of the value: __eq__ and
+    __hash__ ignore it.
+    """
+
+    __slots__ = ("ring", "rank", "terms", "_lead_order", "_lead")
 
     def __init__(self, ring, rank, mapping):
         self.ring = ring
         self.rank = rank
         self.terms = tuple(sorted((m, c) for m, c in mapping.items() if c))
+        self._lead_order = None
 
     @classmethod
     def zero(cls, ring, rank):
@@ -303,10 +312,14 @@ class ModuleElement:
 
     def leading(self, order):
         """Return (monomial, coeff) of the leading term under `order`."""
+        if order is self._lead_order:
+            return self._lead
         if not self.terms:
             raise ValueError("zero element has no leading term")
         key = order.key
-        return max(self.terms, key=lambda t: key(t[0]))
+        self._lead = max(self.terms, key=lambda t: key(t[0]))
+        self._lead_order = order
+        return self._lead
 
     def __eq__(self, other):
         return (

@@ -169,7 +169,8 @@ def free_resolution(v_gens, u_gens, order, shifts=None, length=None):
 
 def prune_minimize(res):
     """Minimize a resolution by cancelling constant entries, then dropping
-    redundant columns of the last differential and normalizing leads.
+    redundant columns of the last differential and normalizing leads (a
+    zero column has none and is left as it is).
 
     Cancellation works in place on sparse {(row, exp): coeff} columns kept
     under their original indices, with one alive set per free module (F_0
@@ -182,23 +183,30 @@ def prune_minimize(res):
     update. Entries in dead rows are ignored, and the survivors are
     renumbered once, in order, at the end; since renumbering keeps the
     order, the pivots are those of dropping each pair as it is cancelled.
+    The constant entries in alive rows are indexed per column as
+    {row: coeff} and refreshed only for the columns a cancellation touched:
+    an untouched column has no entry in the dead row r.
     """
     ring = res.ring
     zero_exp = (0,) * ring.n
+
+    def constants(col, rows):
+        return {i: v for (i, e), v in col.items() if e == zero_exp and i in rows}
+
     sparse = [[dict(col.terms) for col in d.cols] for d in res.diffs]
     alive = [set(range(len(res.gens)))] + [set(range(d.ncols)) for d in res.diffs]
     for idx, cols in enumerate(sparse):
         rows, live = alive[idx], alive[idx + 1]
+        consts = {c: constants(cols[c], rows) for c in live}
         while True:
-            pivot = None
-            for c in sorted(live):
-                for (r, e), a in cols[c].items():
-                    if e == zero_exp and r in rows and (pivot is None or r < pivot[0]):
-                        pivot = (r, c, a)
+            pivot = min(((r, c) for c, m in consts.items() for r in m), default=None)
             if pivot is None:
                 break
-            r, c, a = pivot
-            for l in live - {c}:
+            r, c = pivot
+            a = consts.pop(c)[r]
+            rows.remove(r)
+            live.remove(c)
+            for l in live:
                 entry = [(e, b) for (i, e), b in cols[l].items() if i == r]
                 if not entry:
                     continue
@@ -206,8 +214,7 @@ def prune_minimize(res):
                     raise ContractViolation("differential %d is not homogeneous" % (idx + 1))
                 (dl, b), = entry
                 _axpy(cols[l], -b / a, {(i, exp_add(e, dl)): v for (i, e), v in cols[c].items()})
-            rows.remove(r)
-            live.remove(c)
+                consts[l] = constants(cols[l], rows)
     keep = [sorted(s) for s in alive]
     gens = [res.gens[j] for j in keep[0]]
     levels = []
@@ -244,7 +251,7 @@ def prune_minimize(res):
         mat, mo = lv["mat"], res.order.for_rank(len(lv["rows"]))
         if leads:  # dividing column c of D_k by its lead multiplies row c of D_(k+1) by it
             mat = [ModuleElement(ring, w.rank, {(i, e): cf * leads[i] for (i, e), cf in w.terms}) for w in mat]
-        leads = [w.leading(mo)[1] for w in mat]
+        leads = [one if w.is_zero else w.leading(mo)[1] for w in mat]
         lv["mat"] = [w if lc == one else w.scale(one / lc) for w, lc in zip(mat, leads)]
     diffs = [
         GradedMatrix(ring, lv["rows"], lv["cols"], lv["mat"]) for lv in levels

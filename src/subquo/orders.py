@@ -70,7 +70,9 @@ class ModuleOrder:
         """Same order style on a free module of another rank.
 
         A component permutation fits only its own rank, so at any other rank
-        it falls back to "desc"; "asc" and "desc" carry over.
+        it falls back to "desc"; "asc" and "desc" carry over. At its own rank
+        it returns self, so leading terms memoized under this order object
+        stay valid.
         """
         if rank == self.rank:
             return self
@@ -91,20 +93,44 @@ class ModuleOrder:
 
 
 class SchreyerOrder:
-    """Order on R^s induced by lifting through leading terms of a basis."""
+    """Order on R^s induced by lifting through leading terms of a basis.
 
-    __slots__ = ("lts", "ambient", "rank")
+    Defined recursively, the key of (i, x^a) is
+    (ambient.key((c_i, a + l_i)), -i), where (c_i, l_i) is the i-th leading
+    monomial. Unrolled down a chain of k Schreyer orders over a base module
+    order, component i lifts to ambient component b_i with total shift s_i,
+    passing through indices i_1, ..., i_k = i (i_1 at the level next to the
+    base), and the nested key is ((...((base.key((b_i, a + s_i)), -i_1),
+    -i_2)...), -i_k). The flat key (base.key((b_i, a + s_i)), (-i_1, ...,
+    -i_k)) sorts identically: every component of one order has the same
+    depth k, so two nested keys compare their base keys, then -i_1, ...,
+    then -i_k, which is exactly the lexicographic comparison of the flat
+    pairs. Each (b_i, s_i, ties) is precomputed, so a key costs one exp_add
+    and one base key at any depth.
+    """
+
+    __slots__ = ("lts", "ambient", "rank", "_base", "_flat")
 
     def __init__(self, lts, ambient):
         self.lts = tuple(lts)
         self.ambient = ambient
         self.rank = len(self.lts)
+        nested = isinstance(ambient, SchreyerOrder)
+        self._base = ambient._base if nested else ambient
+        flat = []
+        for i, (c, le) in enumerate(self.lts):
+            if nested:
+                b, s, ties = ambient._flat[c]
+                flat.append((b, exp_add(s, le), ties + (-i,)))
+            else:
+                flat.append((c, le, (-i,)))
+        self._flat = tuple(flat)
 
     def key(self, mon):
-        """Ascending sort key: ambient key of the lift, larger index loses ties."""
+        """Ascending sort key: base key of the lift, then the tie indices."""
         i, exp = mon
-        lc, le = self.lts[i]
-        return (self.ambient.key((lc, exp_add(exp, le))), -i)
+        b, s, ties = self._flat[i]
+        return (self._base.key((b, exp_add(exp, s))), ties)
 
     def __eq__(self, other):
         return (

@@ -332,6 +332,31 @@ X1*X2
 -X1^2
 """
 
+# Not a resolution (verify rejects it), but D1 has a zero column that the
+# lead normalization of minimize must pass over.
+ZERO_COL_RES = """\
+n: 1
+vars: X
+field: q
+order: grevlex X ; pot desc
+ambient: (0)
+minimized: false
+U:
+D0:
+rows: (0)
+cols: (0)
+1
+D1:
+rows: (0)
+cols: (1) (1)
+X 0
+D2:
+rows: (1) (1)
+cols: (2)
+0
+X
+"""
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -447,6 +472,17 @@ class TestResolutions:
     def test_betti_of_minimized(self, files, monkeypatch, capsys):
         code, out, err = run_cli(monkeypatch, capsys, "betti", files["min2.res"])
         assert (code, out) == (0, "2 4 2\n")
+
+    def test_zero_column_minimize_and_betti(self, tmp_path, monkeypatch, capsys):
+        res, mini = tmp_path / "zero.res", tmp_path / "mini.res"
+        res.write_text(ZERO_COL_RES)
+        code, out, err = run_cli(monkeypatch, capsys, "minimize", str(res))
+        assert (code, out) == (0, ZERO_COL_RES.replace("minimized: false", "minimized: true"))
+        mini.write_text(out)
+        code, out, err = run_cli(monkeypatch, capsys, "betti", str(res))
+        assert (code, out) == (0, "1 2 1\n")
+        code, out, err = run_cli(monkeypatch, capsys, "verify", str(mini))
+        assert code == 2 and "exact" not in out
 
     def test_inhomogeneous_resolution_is_input_error(self, tmp_path, monkeypatch, capsys):
         head = "n: 3\nvars: X Y Z\nfield: q\nrank: 1\norder: grevlex X Y Z ; pot desc\nelements:\n"

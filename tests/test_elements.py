@@ -8,13 +8,16 @@ from subquo import (
     PrimeField,
     QQ,
     Ring,
+    SchreyerOrder,
     format_element,
     parse_element,
     parse_field,
+    parse_order,
 )
 from subquo.elements import exp_add, exp_divides, exp_lcm, exp_sub, mon_divides
+from subquo.orders import BaseOrder
 
-from conftest import els, fmts
+from conftest import cube_resolution, els, fmts
 
 
 class TestFields:
@@ -133,6 +136,56 @@ class TestModuleElement:
         z = ModuleElement.zero(ring_xy, 2)
         with pytest.raises(ValueError):
             z.leading(default_order(ring_xy, 2))
+
+
+class TestLeadingMemo:
+    def test_memo_matches_uncached_lead_across_orders(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def cases(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            n, rank = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            ring = Ring(n, field, ("X", "Y", "Z")[:n])
+            exp = st.tuples(*[st.integers(0, 3)] * n)
+            coeff = st.integers(-3, 3).filter(bool).map(field.from_int)
+            terms = draw(st.dictionaries(st.tuples(st.integers(0, rank - 1), exp), coeff, min_size=1, max_size=6))
+            names = " ".join(ring.names)
+            lts = draw(st.lists(st.tuples(st.integers(0, 1), exp), min_size=rank, max_size=rank))
+            ambient = parse_order("grlex %s ; top desc" % names, ring, 2)
+            makers = [
+                lambda: parse_order("grevlex %s ; pot desc" % names, ring, rank),
+                lambda: parse_order("lex %s ; top asc" % names, ring, rank),
+                lambda: SchreyerOrder(lts, ambient),
+            ]
+            i, j = draw(st.permutations(range(3)))[:2]
+            # the last order equals the first but is another object
+            return ModuleElement(ring, rank, terms), makers[i](), makers[j](), makers[i]()
+
+        @hyp.settings(max_examples=60)
+        @hyp.given(cases())
+        def check(case):
+            f, a, b, twin = case
+            assert twin == a and twin is not a
+            for order in (a, b, a, twin, a, twin):
+                assert f.leading(order) == max(f.terms, key=lambda t: order.key(t[0]))
+
+        check()
+
+    def test_cube_resolution_computes_few_order_keys(self, monkeypatch):
+        # a fresh order object per call in a hot loop would defeat the memo
+        # without changing any result; the count shows it
+        calls = [0]
+        key = BaseOrder.key
+
+        def counted(self, exp):
+            calls[0] += 1
+            return key(self, exp)
+
+        monkeypatch.setattr(BaseOrder, "key", counted)
+        cube_resolution(QQ)
+        assert 0 < calls[0] < 2000
 
 
 class TestParseFormat:

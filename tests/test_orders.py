@@ -6,6 +6,8 @@ import pytest
 
 from subquo import (
     InputError,
+    QQ,
+    Ring,
     SchreyerOrder,
     default_order,
     format_order,
@@ -124,6 +126,57 @@ class TestSchreyerOrder:
         g = [parse_element("X*e1", ring_xy, 1)]
         sord = SchreyerOrder([e.leading(order)[0] for e in g], order)
         assert sord.rank == 1
+
+
+def nested_key(order, mon):
+    """The Schreyer key as first defined: recurse into the ambient order."""
+    if not isinstance(order, SchreyerOrder):
+        return order.key(mon)
+    i, exp = mon
+    c, le = order.lts[i]
+    return (nested_key(order.ambient, (c, tuple(a + b for a, b in zip(exp, le)))), -i)
+
+
+class TestFlatSchreyerKey:
+    def test_flat_key_sorts_like_nested_key(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def chains(draw):
+            n = draw(st.integers(1, 3))
+            ring = Ring(n, QQ, ("X", "Y", "Z")[:n])
+            exp = st.tuples(*[st.integers(0, 3)] * n)
+            rank = draw(st.integers(1, 3))
+            spec = "%s %s ; %s %s" % (
+                draw(st.sampled_from(["lex", "grlex", "grevlex"])),
+                " ".join(ring.names),
+                draw(st.sampled_from(["pot", "top"])),
+                draw(st.sampled_from(["desc", "asc"])),
+            )
+            order = parse_order(spec, ring, rank)
+            for _ in range(draw(st.integers(1, 3))):
+                lts = draw(st.lists(st.tuples(st.integers(0, order.rank - 1), exp), min_size=1, max_size=4))
+                order = SchreyerOrder(lts, order)
+            mons = draw(st.lists(st.tuples(st.integers(0, order.rank - 1), exp), min_size=2, max_size=12))
+            return order, mons
+
+        def sign(k1, k2):
+            return -1 if k1 < k2 else (0 if k1 == k2 else 1)
+
+        @hyp.settings(max_examples=80)
+        @hyp.given(chains())
+        def check(case):
+            order, mons = case
+            nested = [nested_key(order, m) for m in mons]
+            assert sorted(range(len(mons)), key=lambda k: order.key(mons[k])) == sorted(
+                range(len(mons)), key=lambda k: nested[k]
+            )
+            for k1, m1 in enumerate(mons):
+                for k2, m2 in enumerate(mons):
+                    assert compare(m1, m2, order) == sign(nested[k1], nested[k2])
+
+        check()
 
 
 class TestParseFormat:
