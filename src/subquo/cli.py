@@ -21,7 +21,7 @@ from .files import (
     parse_resolution_file,
 )
 from .flange import buchberger_flange, free_presentation
-from .graded import degrees_in_box, format_degree, graded_dimension, parse_degree
+from .graded import degrees_in_box, format_degree, graded_dimensions, parse_degree
 from .groebner import reduce_groebner, buchberger, schreyer_syzygies
 from .homres import (
     betti_numbers,
@@ -213,12 +213,11 @@ def hilbert(u_file, v_file, degree_text, box_text, order_text, field_text):
         raise click.UsageError("pass --degree or --box, not both" if box_text else "pass --degree or --box")
     ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
     if degree_text is not None:
-        degs = [parse_degree(degree_text, ring.n)]
+        lo = hi = parse_degree(degree_text, ring.n)
     else:
         lo, hi = _parse_box(box_text, ring.n)
-        degs = degrees_in_box(lo, hi)
-    for a in degs:
-        dim = graded_dimension(v_gens, u_gens, shifts, a)
+    dims = graded_dimensions(v_gens, u_gens, shifts, lo, hi)
+    for a, dim in zip(degrees_in_box(lo, hi), dims):
         click.echo("%s %d" % (format_degree(a), dim))
 
 

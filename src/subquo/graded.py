@@ -2,7 +2,7 @@
 
 from itertools import product
 
-from .elements import ModuleElement, exp_add, exp_sub
+from .elements import ModuleElement, exp_add
 from .errors import ContractViolation, InputError
 
 
@@ -133,10 +133,31 @@ def _add_row(pivots, row):
     return False
 
 
-def _rank(rows):
-    """Exact rank of sparse rows, with no back-substitution."""
-    pivots = {}
-    return sum(_add_row(pivots, r) for r in rows)
+def _box_ranks(rows, lo, hi):
+    """Rank of the rows of degree <= a, for each a in degrees_in_box(lo, hi).
+
+    rows are (degree, {index: value}) pairs. One kernel serves every fine
+    graded map between free modules, because a free component with shift s
+    holds at most one monomial in a fine degree a: x^(a - s) times its basis
+    vector, present when s <= a. So the degree-a piece of a homogeneous map
+    is one fixed scalar matrix restricted to the rows whose degree is <= a:
+    an element w of degree b <= a contributes x^(a - b) w, whose coordinate
+    on component j is the coefficient of w on j, whatever a is. Only the set
+    of active rows depends on a, and along a line of the box in the first
+    coordinate (the fastest axis of degrees_in_box) that set only grows. So
+    each line keeps one echelon form and inserts each of its rows once, when
+    the line reaches the row's first coordinate; the rank does not depend on
+    the insertion order.
+    """
+    rows = sorted(((d[0], d[1:], vec) for d, vec in rows if d[0] <= hi[0]), key=lambda r: r[0])
+    for tail in degrees_in_box(lo[1:], hi[1:]):
+        line = [(a0, vec) for a0, t, vec in rows if deg_leq(t, tail)]
+        pivots, rank, k = {}, 0, 0
+        for a0 in range(lo[0], hi[0] + 1):
+            while k < len(line) and line[k][0] <= a0:
+                rank += _add_row(pivots, dict(line[k][1]))
+                k += 1
+            yield rank
 
 
 def rref(rows):
@@ -178,7 +199,8 @@ def matrix_rank(rows):
     Elimination is sparse and exact, with no back-substitution; the rank
     does not depend on the pivot order.
     """
-    return _rank(_sparse(rows))
+    pivots = {}
+    return sum(_add_row(pivots, r) for r in _sparse(rows))
 
 
 def nullspace_basis(rows, ncols, field):
@@ -257,29 +279,27 @@ class GradedMatrix:
             [self.apply(col) for col in other.cols],
         )
 
+    def _scalar_columns(self):
+        """(column degree, {row: coefficient}) per column, the rows of
+        _box_ranks: a homogeneous column has one term per row it touches."""
+        out = []
+        for j, col in enumerate(self.cols):
+            s = self.col_shifts[j]
+            vec = {}
+            for (i, e), c in col.terms:
+                if exp_add(e, self.row_shifts[i]) != s:
+                    raise ContractViolation("inhomogeneous column %d" % (j + 1))
+                vec[i] = c
+            out.append((s, vec))
+        return out
+
     def is_homogeneous(self):
         """Return True when every column is homogeneous of its column degree."""
-        for j, col in enumerate(self.cols):
-            for (i, e), _ in col.terms:
-                if exp_add(e, self.row_shifts[i]) != self.col_shifts[j]:
-                    return False
+        try:
+            self._scalar_columns()
+        except ContractViolation:
+            return False
         return True
-
-    def _degree_columns(self, a):
-        """Sparse columns {row position: value} of the degree-a piece, with
-        the domain and codomain indices of degree_matrix."""
-        cod = [i for i, s in enumerate(self.row_shifts) if deg_leq(s, a)]
-        dom = [j for j, s in enumerate(self.col_shifts) if deg_leq(s, a)]
-        pos = {i: r for r, i in enumerate(cod)}
-        cols = []
-        for j in dom:
-            col = {}
-            for (i, e), c in self.cols[j].terms:
-                if exp_add(e, self.row_shifts[i]) != self.col_shifts[j]:
-                    raise ContractViolation("inhomogeneous column %d" % (j + 1))
-                col[pos[i]] = c
-            cols.append(col)
-        return cols, dom, cod
 
     def degree_matrix(self, a):
         """Rows-over-field matrix of the degree-a piece of the map.
@@ -287,17 +307,24 @@ class GradedMatrix:
         Returns (rows, dom_index, cod_index): dom_index and cod_index list the
         components of the domain and codomain with a basis monomial in degree a.
         """
-        cols, dom, cod = self._degree_columns(a)
+        cols = self._scalar_columns()
+        cod = [i for i, s in enumerate(self.row_shifts) if deg_leq(s, a)]
+        dom = [j for j, (s, _) in enumerate(cols) if deg_leq(s, a)]
+        pos = {i: r for r, i in enumerate(cod)}
         rows = [[self.ring.field.zero] * len(dom) for _ in cod]
-        for cidx, col in enumerate(cols):
-            for r, c in col.items():
-                rows[r][cidx] = c
+        for cidx, j in enumerate(dom):
+            for i, c in cols[j][1].items():
+                rows[pos[i]][cidx] = c
         return rows, dom, cod
 
+    def degree_ranks(self, lo, hi):
+        """Exact ranks of the degree-a pieces of the map, for each a in
+        degrees_in_box(lo, hi), by _box_ranks on its scalar columns."""
+        return _box_ranks(self._scalar_columns(), lo, hi)
+
     def degree_rank(self, a):
-        """Exact rank of the degree-a piece of the map, by sparse exact
-        elimination of its columns (the rank of the transpose)."""
-        return _rank(self._degree_columns(a)[0])
+        """Exact rank of the degree-a piece of the map."""
+        return next(self.degree_ranks(a, a))
 
     def __eq__(self, other):
         return (
@@ -312,53 +339,35 @@ class GradedMatrix:
         return "GradedMatrix(%dx%d)" % (self.nrows, self.ncols)
 
 
-def _gen_rows(gens, shifts, a, coords, field):
-    """One coefficient row per generator with degree at most a."""
-    pos = {m: k for k, m in enumerate(coords)}
+def _element_rows(gens, shifts):
+    """(degree, {component: coefficient}) per nonzero element, the rows of
+    _box_ranks; each element must be homogeneous for the shifts."""
     rows = []
     for w in gens:
-        if w.is_zero:
-            continue
         b = element_degree(w, shifts)
-        if not deg_leq(b, a):
-            continue
-        shifted = w.mul_term(field.one, exp_sub(a, b))
-        row = [field.zero] * len(coords)
-        for mon, c in shifted.terms:
-            row[pos[mon]] = c
-        rows.append(row)
+        if b is not None:
+            rows.append((b, {i: c for (i, _), c in w.terms}))
     return rows
 
 
-def graded_dimension(v_gens, u_gens, shifts, a):
-    """Exact dimension of the degree-a piece of the subquotient V/U.
+def graded_dimensions(v_gens, u_gens, shifts, lo, hi):
+    """Exact dimensions of the subquotient V/U, for each a in degrees_in_box(lo, hi).
 
     V is spanned by v_gens together with u_gens, U by u_gens alone; all
-    generators must be homogeneous for the given ambient shifts. One sparse
-    exact elimination takes the U rows first and then the v_gens rows: the
-    dimension, rank(V) - rank(U), is the number of v_gens rows that still
-    raise the rank. The echelon form does not depend on the pivot order, so
-    neither does the count.
+    generators must be homogeneous for the given ambient shifts, and that is
+    checked here, before any degree. Each dimension is rank(V) - rank(U),
+    both counted by _box_ranks on the generators' coordinate rows.
     """
-    gens = [g for g in list(v_gens) + list(u_gens) if not g.is_zero]
-    if not gens:
-        return 0
-    ring = gens[0].ring
-    field = ring.field
-    rank = gens[0].rank
-    coords = [
-        (i, exp_sub(a, shifts[i]))
-        for i in range(rank)
-        if deg_leq(shifts[i], a)
-    ]
-    if not coords:
-        return 0
-    v_rows = _sparse(_gen_rows(v_gens, shifts, a, coords, field))
-    u_rows = _sparse(_gen_rows(u_gens, shifts, a, coords, field))
-    pivots = {}
-    for row in u_rows:
-        _add_row(pivots, row)
-    return sum(_add_row(pivots, row) for row in v_rows)
+    v_rows = _element_rows(v_gens, shifts)
+    u_rows = _element_rows(u_gens, shifts)
+    ranks = zip(_box_ranks(v_rows + u_rows, lo, hi), _box_ranks(u_rows, lo, hi))
+    return (rv - ru for rv, ru in ranks)
+
+
+def graded_dimension(v_gens, u_gens, shifts, a):
+    """Exact dimension of the degree-a piece of the subquotient V/U: the
+    one-degree box a..a of graded_dimensions."""
+    return next(graded_dimensions(v_gens, u_gens, shifts, a, a))
 
 
 def presentation_dimension(mat, a):

@@ -156,11 +156,19 @@ def buchberger_transform(gens, order):
 
 
 def _minimal_indices(G, order):
-    """Indices of a minimal subset: no kept leading monomial divides another."""
+    """Indices of a minimal subset: no kept leading monomial divides another.
+
+    A monomial divides only monomials of its own component, so each
+    candidate is tested against the kept exponents of its component alone.
+    """
     lms = [g.leading(order)[0] for g in G]
     picked = []
+    kept = {}  # component -> kept leading exponents
     for i in sorted(range(len(G)), key=lambda k: (order.key(lms[k]), k)):
-        if not any(mon_divides(lms[k], lms[i]) for k in picked):
+        comp, exp = lms[i]
+        same = kept.setdefault(comp, [])
+        if not any(exp_divides(e, exp) for e in same):
+            same.append(exp)
             picked.append(i)
     return picked
 

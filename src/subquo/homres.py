@@ -6,12 +6,13 @@ from .graded import (
     GradedMatrix,
     _add_row,
     _axpy,
+    _box_ranks,
     deg_join,
     deg_leq,
     deg_meet,
     degrees_in_box,
     element_degree,
-    graded_dimension,
+    graded_dimensions,
     is_homogeneous,
     monomialize,
     nullspace_basis,
@@ -424,20 +425,20 @@ def module_from_diagram(diag):
     return v_gens, u_gens
 
 
-def _verify_degree(res, g_u, a):
-    """Exactness checks for one degree, returning a list of failures."""
+def _verify_degree(a, dims, ranks, want):
+    """Exactness checks for one degree, returning a list of failures.
+
+    dims are the dimensions of the levels at a, ranks those of the
+    differentials, and want is the dimension of the module.
+    """
     msgs = []
-    lev_degs = [res.gen_degrees] + [d.col_shifts for d in res.diffs]
-    dims = [sum(1 for s in degs if deg_leq(s, a)) for degs in lev_degs]
-    ranks = [d.degree_rank(a) for d in res.diffs]
-    want = graded_dimension(res.gens, g_u, res.ambient_shifts, a)
     have = dims[0] - (ranks[0] if ranks else 0)
     if have != want:
         msgs.append(
             "degree %s: presentation gives dimension %d, module has %d"
             % ((a,), have, want)
         )
-    for i in range(len(res.diffs)):
+    for i in range(len(ranks)):
         ker = dims[i + 1] - ranks[i]
         nxt = ranks[i + 1] if i + 1 < len(ranks) else 0
         if ker != nxt:
@@ -492,6 +493,12 @@ def verify_complex(res, box=None):
         hi = exp_add(hi, (1,) * ring.n)
     else:
         lo, hi = box
-    for a in degrees_in_box(lo, hi):
-        report.extend(_verify_degree(res, g_u, a))
+    # One rank stream per level (the identity of its free module), per
+    # differential and for the module, all in degrees_in_box order.
+    levels = [res.gen_degrees] + [d.col_shifts for d in res.diffs]
+    streams = [_box_ranks([(s, {j: 1}) for j, s in enumerate(degs)], lo, hi) for degs in levels]
+    streams += [d.degree_ranks(lo, hi) for d in res.diffs]
+    wants = graded_dimensions(res.gens, g_u, res.ambient_shifts, lo, hi)
+    for a, want, *counts in zip(degrees_in_box(lo, hi), wants, *streams):
+        report.extend(_verify_degree(a, counts[: len(levels)], counts[len(levels):], want))
     return not report, report

@@ -5,7 +5,12 @@ import sys
 
 import pytest
 
+from subquo import QQ, GradedMatrix, ModuleElement, Ring, free_resolution, parse_order
 from subquo.cli import main
+from subquo.files import emit_resolution_file
+from subquo.homres import Resolution
+
+from conftest import cube_resolution, els
 
 U5_MOD = """\
 n: 2
@@ -358,6 +363,71 @@ X
 """
 
 
+def drop_column(res, level, j):
+    """res without column j of differential `level`, nor any later column
+    that uses a dropped one, so the differentials still compose to zero and
+    verify reaches its per-degree checks."""
+    diffs = list(res.diffs[: level - 1])
+    gone_rows, gone_cols = set(), {j}
+    for d in res.diffs[level - 1 :]:
+        keep = [
+            k
+            for k, col in enumerate(d.cols)
+            if k not in gone_cols and not any(r in gone_rows for (r, _), _ in col.terms)
+        ]
+        rows = [r for r in range(d.nrows) if r not in gone_rows]
+        pos = {r: i for i, r in enumerate(rows)}
+        cols = [
+            ModuleElement(d.ring, len(rows), {(pos[r], e): c for (r, e), c in d.cols[k].terms})
+            for k in keep
+        ]
+        diffs.append(
+            GradedMatrix(d.ring, [d.row_shifts[r] for r in rows], [d.col_shifts[k] for k in keep], cols)
+        )
+        gone_rows, gone_cols = set(range(d.ncols)) - set(keep), set()
+    return Resolution(res.ring, res.order, res.ambient_shifts, res.u_gens, res.gens, diffs)
+
+
+def line_resolution():
+    """Resolution of <e1, e2> over <X^3 e1, X^2 e1 - X^2 e2> in k[X]."""
+    ring = Ring(1, QQ, ("X",))
+    order = parse_order("grevlex X ; pot desc", ring, 2)
+    return free_resolution(
+        els(ring, 2, ["e1", "e2"]), els(ring, 2, ["X^3*e1", "X^2*e1-X^2*e2"]), order
+    )
+
+
+# verify's exact reports (exit code 2) on those mutants, over the default
+# box and over boxes whose low corner is not the origin.
+CUBE_D2_BAD_REPORT = """\
+degree ((1, 1, 1),): level 1 kernel has dimension 3, level 2 image 2
+degree ((1, 2, 2),): level 2 kernel has dimension 7, level 3 image 6
+degree ((1, 3, 2),): level 2 kernel has dimension 11, level 3 image 10
+degree ((1, 4, 2),): level 2 kernel has dimension 11, level 3 image 10
+degree ((1, 2, 3),): level 2 kernel has dimension 11, level 3 image 10
+degree ((1, 3, 3),): level 2 kernel has dimension 16, level 3 image 15
+degree ((1, 4, 3),): level 2 kernel has dimension 16, level 3 image 15
+degree ((1, 2, 4),): level 2 kernel has dimension 11, level 3 image 10
+degree ((1, 3, 4),): level 2 kernel has dimension 16, level 3 image 15
+degree ((1, 4, 4),): level 2 kernel has dimension 16, level 3 image 15
+"""
+CUBE_D2_BAD_BOX = "(-1,1,1)..(2,3,2)"
+CUBE_D2_BAD_BOX_REPORT = """\
+degree ((1, 1, 1),): level 1 kernel has dimension 3, level 2 image 2
+degree ((1, 2, 2),): level 2 kernel has dimension 7, level 3 image 6
+degree ((1, 3, 2),): level 2 kernel has dimension 11, level 3 image 10
+"""
+LINE_D1_BAD_REPORT = """\
+degree ((2,),): presentation gives dimension 2, module has 1
+degree ((3,),): presentation gives dimension 1, module has 0
+degree ((4,),): presentation gives dimension 1, module has 0
+"""
+LINE_D1_BAD_BOX = "(1)..(5)"
+LINE_D1_BAD_BOX_REPORT = LINE_D1_BAD_REPORT + """\
+degree ((5,),): presentation gives dimension 1, module has 0
+"""
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli")
@@ -521,6 +591,25 @@ class TestVerify:
         assert code == 2
         assert "kernel" in out and "exact" not in out
 
+    @pytest.mark.parametrize(
+        "mutant, box, report",
+        [
+            ("cube", None, CUBE_D2_BAD_REPORT),
+            ("cube", CUBE_D2_BAD_BOX, CUBE_D2_BAD_BOX_REPORT),
+            ("line", None, LINE_D1_BAD_REPORT),
+            ("line", LINE_D1_BAD_BOX, LINE_D1_BAD_BOX_REPORT),
+        ],
+    )
+    def test_failure_report_frozen(self, mutant, box, report, tmp_path, monkeypatch, capsys):
+        if mutant == "cube":
+            res = drop_column(cube_resolution(QQ), 2, 4)
+        else:
+            res = drop_column(line_resolution(), 1, 0)
+        bad = tmp_path / "bad.res"
+        bad.write_text(emit_resolution_file(res))
+        args = ["verify", str(bad)] + (["--box", box] if box else [])
+        assert run_cli(monkeypatch, capsys, *args)[:2] == (2, report)
+
     def test_bad_box_is_input_error(self, files, monkeypatch, capsys):
         code, out, err = run_cli(
             monkeypatch, capsys, "verify", files["res2.res"], "--box", "(0,0)-(4,3)"
@@ -602,6 +691,22 @@ class TestHilbert:
             "(1,1)",
         )
         assert (code, out) == (0, "(1,1) 2\n")
+
+    @pytest.mark.parametrize("degree", ["(0,0)", "(1,1)", "(2,1)", "(-1,3)"])
+    def test_degree_is_one_degree_box(self, degree, files, monkeypatch, capsys):
+        pair = [files["u2.mod"], files["v2.mod"]]
+        one = run_cli(monkeypatch, capsys, "hilbert", *pair, "--degree", degree)
+        box = run_cli(monkeypatch, capsys, "hilbert", *pair, "--box", "%s..%s" % (degree, degree))
+        assert one == box
+        assert one[0] == 0 and one[1].startswith(degree + " ")
+
+    @pytest.mark.parametrize("where", [["--degree", "(1,1)"], ["--box", "(-1,-1)..(2,2)"]])
+    def test_inhomogeneous_v_is_input_error(self, where, files, tmp_path, monkeypatch, capsys):
+        v = tmp_path / "v.mod"
+        v.write_text(V2_MOD.split("elements:")[0] + "elements:\nX1*e1+X2^2*e2\n")
+        code, out, err = run_cli(monkeypatch, capsys, "hilbert", files["u2.mod"], str(v), *where)
+        assert (code, out) == (1, "")
+        assert "is not homogeneous" in err and "X2^2" in err
 
     def test_requires_degree_or_box(self, files, monkeypatch, capsys):
         code, out, err = run_cli(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from subquo.elements import ModuleElement, PrimeField, QQ, Ring, exp_sub, parse_element, parse_field
+from subquo.elements import ModuleElement, PrimeField, QQ, Ring, exp_sub, mon_divides, parse_element, parse_field
 from subquo.errors import ContractViolation, InputError
 from subquo.graded import (
     GradedMatrix,
@@ -16,6 +16,7 @@ from subquo.graded import (
     element_degree,
     format_degree,
     graded_dimension,
+    graded_dimensions,
     is_homogeneous,
     matrix_rank,
     monomialize,
@@ -25,6 +26,9 @@ from subquo.graded import (
     presentation_dimension,
     rref,
 )
+from subquo.groebner import buchberger, reduce_groebner
+from subquo.orders import default_order
+from subquo.relative import reduce_relative, relative_buchberger
 
 from conftest import R6_U, R6_V, els, fmts, qgrid, scalar_grid
 
@@ -388,3 +392,97 @@ class TestGradedDimension:
         u = els(ring2, 1, ["X1*e1"])
         assert graded_dimension(v, [], shifts, (1, 0)) == 1
         assert graded_dimension(v, u, shifts, (1, 0)) == 0
+
+
+class TestLeadingTermOracle:
+    """dim (V+U)/U at a from standard monomials, against the rank routes.
+
+    A free component with shift s holds one monomial in degree a >= s, so
+    dim (V+U)_a counts the components whose monomial x^(a - s) e_j lies in
+    <LT(H u G_U)> (H the reduced relative basis, G_U a basis of U), and
+    dim U_a those in <LT(G_U)>. The count needs no elimination.
+    """
+
+    @staticmethod
+    def subquotients(st):
+        """Monomial and binomial subquotients in 1-3 variables, with a box."""
+
+        @st.composite
+        def draw_case(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            n, rank = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            ring = Ring(n, field, tuple("xyz"[:n]))
+            small = st.integers(-1, 1)
+            shifts = tuple(tuple(draw(small) for _ in range(n)) for _ in range(rank))
+
+            def element():
+                j = draw(st.integers(0, rank - 1))
+                e = tuple(draw(st.integers(0, 2)) for _ in range(n))
+                terms = {(j, e): field.one}
+                k = draw(st.integers(0, rank - 1))
+                f = tuple(x + s - t for x, s, t in zip(e, shifts[j], shifts[k]))
+                c = draw(st.sampled_from([0, 1, -1, 2]))
+                if k != j and c and min(f) >= 0:
+                    terms[(k, f)] = field.from_int(c)
+                return ModuleElement(ring, rank, terms)
+
+            v = [element() for _ in range(draw(st.integers(1, 3)))]
+            u = [element() for _ in range(draw(st.integers(0, 3)))]
+            lo = tuple(draw(st.integers(-1, 2)) for _ in range(n))
+            hi = tuple(x + draw(st.integers(0, 3)) for x in lo)
+            return ring, shifts, v, u, lo, hi
+
+        return draw_case()
+
+    @staticmethod
+    def oracle(ring, shifts, v, u):
+        """Degree -> dim (V+U)/U, by counting leading-term monomials."""
+        order = default_order(ring, len(shifts))
+        g_u = buchberger([g for g in u if not g.is_zero], order)
+        g_u = reduce_groebner(g_u, order) if g_u else []
+        h = reduce_relative(relative_buchberger(v, g_u, order), g_u, order)
+
+        def in_lt(basis, mon):
+            return any(mon_divides(g.leading(order)[0], mon) for g in basis)
+
+        def dim(a):
+            mons = [(j, exp_sub(a, s)) for j, s in enumerate(shifts) if deg_leq(s, a)]
+            return sum(in_lt(h + g_u, m) and not in_lt(g_u, m) for m in mons)
+
+        return dim
+
+    @staticmethod
+    def dense_recount(ring, shifts, v, u, a):
+        """rank(V+U) - rank(U) of dense degree-a coordinate rows."""
+        zero = ring.field.zero
+
+        def rows(gens):
+            out = []
+            for g in gens:
+                b = element_degree(g, shifts)
+                if b is not None and deg_leq(b, a):
+                    shifted = g.mul_term(ring.field.one, exp_sub(a, b))
+                    out.append([
+                        shifted.coeff(j, exp_sub(a, s)) if deg_leq(s, a) else zero
+                        for j, s in enumerate(shifts)
+                    ])
+            return out
+
+        return _dense_rank(rows(v + u)) - _dense_rank(rows(u))
+
+    def test_box_stream_matches_recount_and_leading_terms(self):
+        hyp = pytest.importorskip("hypothesis")
+
+        @hyp.settings(max_examples=80)
+        @hyp.given(self.subquotients(hyp.strategies))
+        def prop(case):
+            ring, shifts, v, u, lo, hi = case
+            box = list(degrees_in_box(lo, hi))
+            stream = list(graded_dimensions(v, u, shifts, lo, hi))
+            assert len(stream) == len(box)
+            assert stream == [graded_dimension(v, u, shifts, a) for a in box]
+            assert stream == [self.dense_recount(ring, shifts, v, u, a) for a in box]
+            oracle = self.oracle(ring, shifts, v, u)
+            assert stream == [oracle(a) for a in box]
+
+        prop()
