@@ -1,42 +1,26 @@
 """Command-line interface for relative Groebner basis computations."""
 
+import argparse
 import os
 import sys
 import tempfile
 
-import click
-
 from . import __version__
 from .errors import ContractViolation, InputError
 from .files import (
-    emit_fim_file,
-    emit_matrix_file,
-    emit_module_file,
-    emit_module_pair_file,
-    emit_resolution_file,
-    parse_complex_file,
-    parse_diagram_file,
-    parse_fim_file,
-    parse_module_file,
-    parse_resolution_file,
+    emit_fim_file, emit_matrix_file, emit_module_file, emit_module_pair_file, emit_resolution_file,
+    parse_complex_file, parse_diagram_file, parse_fim_file, parse_module_file, parse_resolution_file,
 )
 from .flange import buchberger_flange, free_presentation
 from .graded import degrees_in_box, format_degree, graded_dimensions, parse_degree
 from .groebner import reduce_groebner, buchberger, schreyer_syzygies
-from .homres import (
-    betti_numbers,
-    free_resolution,
-    homology_presentation,
-    module_from_diagram,
-    prune_minimize,
-    verify_complex,
-)
+from .homres import betti_numbers, free_resolution, homology_presentation, module_from_diagram, prune_minimize, verify_complex
 from .relative import reduce_relative, relative_buchberger, relative_schreyer
 
 
 def _emit(text, output):
     if output is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         target = os.path.abspath(output)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".subquo-")
@@ -87,22 +71,6 @@ def _load_pair(upath, vpath, order_text, field_text=None):
     return ring_u, rank, order, u_gens, v_gens, shifts
 
 
-_ORDER_OPT = click.option("--order", "order_text", default=None, metavar="SPEC", help="Monomial order, e.g. 'grevlex x1 x2 ; pot desc'.")
-_FIELD_OPT = click.option("--field", "field_text", default=None, metavar="F", help="Coefficient field: 'q' (default) or 'fp:<p>'.")
-_OUT_OPT = click.option("-o", "--output", default=None, type=click.Path(dir_okay=False), help="Write to a file instead of stdout.")
-
-
-@click.group()
-@click.version_option(version=__version__)
-def cli():
-    """Exact Groebner bases for subquotients of free modules."""
-
-
-@cli.command()
-@click.argument("module_file", type=click.Path(exists=True, dir_okay=False))
-@_ORDER_OPT
-@_FIELD_OPT
-@_OUT_OPT
 def gb(module_file, order_text, field_text, output):
     """Reduced Groebner basis of the module generated by the input elements."""
     ring, rank, order, gens, _ = _load_module(module_file, order_text, field_text)
@@ -110,12 +78,6 @@ def gb(module_file, order_text, field_text, output):
     _emit(emit_module_file(ring, rank, basis, order), output)
 
 
-@cli.command()
-@click.argument("u_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("v_file", type=click.Path(exists=True, dir_okay=False))
-@_ORDER_OPT
-@_FIELD_OPT
-@_OUT_OPT
 def relgb(u_file, v_file, order_text, field_text, output):
     """Reduced Groebner basis of V relative to U."""
     ring, rank, order, u_gens, v_gens, _ = _load_pair(u_file, v_file, order_text, field_text)
@@ -124,11 +86,6 @@ def relgb(u_file, v_file, order_text, field_text, output):
     _emit(emit_module_file(ring, rank, h, order), output)
 
 
-@cli.command()
-@click.argument("module_file", type=click.Path(exists=True, dir_okay=False))
-@_ORDER_OPT
-@_FIELD_OPT
-@_OUT_OPT
 def syz(module_file, order_text, field_text, output):
     """Syzygies of a Groebner basis, as columns over its elements."""
     ring, rank, order, gens, _ = _load_module(module_file, order_text, field_text)
@@ -137,12 +94,6 @@ def syz(module_file, order_text, field_text, output):
     _emit(emit_module_file(ring, len(gens), cols, None, sord), output)
 
 
-@cli.command()
-@click.argument("u_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("h_file", type=click.Path(exists=True, dir_okay=False))
-@_ORDER_OPT
-@_FIELD_OPT
-@_OUT_OPT
 def relsyz(u_file, h_file, order_text, field_text, output):
     """Syzygies of a relative Groebner basis H over U."""
     ring, rank, order, u_gens, h, _ = _load_pair(u_file, h_file, order_text, field_text)
@@ -152,12 +103,6 @@ def relsyz(u_file, h_file, order_text, field_text, output):
     _emit(emit_module_file(ring, len(h), cols, None, sord), output)
 
 
-@cli.command()
-@click.argument("u_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("v_file", type=click.Path(exists=True, dir_okay=False))
-@_ORDER_OPT
-@_FIELD_OPT
-@_OUT_OPT
 def respres(u_file, v_file, order_text, field_text, output):
     """Free presentation of V/U: relative basis generators and one syzygy matrix."""
     ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
@@ -165,13 +110,6 @@ def respres(u_file, v_file, order_text, field_text, output):
     _emit(emit_resolution_file(res), output)
 
 
-@cli.command()
-@click.argument("u_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("v_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--length", default=None, type=int, help="Number of differentials to compute.")
-@_ORDER_OPT
-@_FIELD_OPT
-@_OUT_OPT
 def resolution(u_file, v_file, length, order_text, field_text, output):
     """Free resolution of V/U by iterated syzygy computation."""
     ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
@@ -179,38 +117,24 @@ def resolution(u_file, v_file, length, order_text, field_text, output):
     _emit(emit_resolution_file(res), output)
 
 
-@cli.command()
-@click.argument("res_file", type=click.Path(exists=True, dir_okay=False))
-@_FIELD_OPT
-@_OUT_OPT
 def minimize(res_file, field_text, output):
     """Prune constant entries from a resolution until it is minimal."""
     res = parse_resolution_file(_read(res_file), None, field_text)
     _emit(emit_resolution_file(prune_minimize(res)), output)
 
 
-@cli.command()
-@click.argument("res_file", type=click.Path(exists=True, dir_okay=False))
-@_FIELD_OPT
 def betti(res_file, field_text):
     """Betti numbers of a resolution, minimizing it first when needed."""
     res = parse_resolution_file(_read(res_file), None, field_text)
     if not res.minimized:
         res = prune_minimize(res)
-    click.echo(" ".join(str(b) for b in betti_numbers(res)))
+    print(" ".join(str(b) for b in betti_numbers(res)))
 
 
-@cli.command()
-@click.argument("u_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("v_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--degree", "degree_text", default=None, metavar="DEG", help="Single degree, e.g. '(1,2)'.")
-@click.option("--box", "box_text", default=None, metavar="LO..HI", help="Degree box, e.g. '(0,0)..(4,3)'.")
-@_ORDER_OPT
-@_FIELD_OPT
 def hilbert(u_file, v_file, degree_text, box_text, order_text, field_text):
     """Graded dimensions of V/U at a degree or over a box of degrees."""
     if (degree_text is None) == (box_text is None):
-        raise click.UsageError("pass --degree or --box, not both" if box_text else "pass --degree or --box")
+        raise InputError("pass --degree or --box, not both" if box_text else "pass --degree or --box")
     ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
     if degree_text is not None:
         lo = hi = parse_degree(degree_text, ring.n)
@@ -218,14 +142,9 @@ def hilbert(u_file, v_file, degree_text, box_text, order_text, field_text):
         lo, hi = _parse_box(box_text, ring.n)
     dims = graded_dimensions(v_gens, u_gens, shifts, lo, hi)
     for a, dim in zip(degrees_in_box(lo, hi), dims):
-        click.echo("%s %d" % (format_degree(a), dim))
+        print("%s %d" % (format_degree(a), dim))
 
 
-@cli.command("flange-gb")
-@click.argument("fim_file", type=click.Path(exists=True, dir_okay=False))
-@_ORDER_OPT
-@_FIELD_OPT
-@_OUT_OPT
 def flange_gb(fim_file, order_text, field_text, output):
     """Complete a free-injective matrix to Groebner form."""
     mat, order = parse_fim_file(_read(fim_file), order_text, field_text)
@@ -233,11 +152,6 @@ def flange_gb(fim_file, order_text, field_text, output):
     _emit(emit_fim_file(done, order), output)
 
 
-@cli.command("flange-pres")
-@click.argument("fim_file", type=click.Path(exists=True, dir_okay=False))
-@_ORDER_OPT
-@_FIELD_OPT
-@_OUT_OPT
 def flange_pres(fim_file, order_text, field_text, output):
     """Presentation of the homomorphisms into a free-injective matrix's cokernel."""
     mat, order = parse_fim_file(_read(fim_file), order_text, field_text)
@@ -245,12 +159,6 @@ def flange_pres(fim_file, order_text, field_text, output):
     _emit(emit_matrix_file(mat.ring, pres, order), output)
 
 
-@cli.command()
-@click.argument("complex_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--minimize", "do_min", is_flag=True, help="Prune the presentation afterwards.")
-@_ORDER_OPT
-@_FIELD_OPT
-@_OUT_OPT
 def homology(complex_file, do_min, order_text, field_text, output):
     """Presentation of homology at the middle of a three-term complex D2, P, D1."""
     ring, order, d1, p, d2 = parse_complex_file(_read(complex_file), order_text, field_text)
@@ -260,10 +168,6 @@ def homology(complex_file, do_min, order_text, field_text, output):
     _emit(emit_resolution_file(res), output)
 
 
-@cli.command("from-diagram")
-@click.argument("diagram_file", type=click.Path(exists=True, dir_okay=False))
-@_FIELD_OPT
-@_OUT_OPT
 def from_diagram(diagram_file, field_text, output):
     """Present a diagram of vector spaces as a subquotient V/U of a free module."""
     diag = parse_diagram_file(_read(diagram_file), field_text)
@@ -272,36 +176,129 @@ def from_diagram(diagram_file, field_text, output):
     _emit(emit_module_pair_file(diag.ring, rank, v_gens, u_gens), output)
 
 
-@cli.command()
-@click.argument("res_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--box", "box_text", default=None, metavar="LO..HI", help="Degree box to check, e.g. '(0,0)..(4,3)'.")
-@_FIELD_OPT
 def verify(res_file, box_text, field_text):
     """Check a resolution file: homogeneity, zero composites, graded exactness."""
     res = parse_resolution_file(_read(res_file), None, field_text)
     box = _parse_box(box_text, res.ring.n) if box_text is not None else None
     ok, report = verify_complex(res, box)
     for line in report:
-        click.echo(line)
+        print(line)
     if not ok:
         sys.exit(2)
-    click.echo("exact")
+    print("exact")
+
+
+def _input_file(path):
+    """Argument type of an input file: it must exist and not be a directory."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError("file %r does not exist" % path)
+    return _file_path(path)
+
+
+def _file_path(path):
+    """Argument type of an output file: it must not be a directory."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError("%r is a directory" % path)
+    return path
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are input errors, exiting 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
+class Command:
+    """One subcommand: the function it runs, its input files and its options.
+
+    Dispatch looks ``callback`` up when the command runs, so a caller may
+    rebind it, as the benchmark's tracer does; the help text is kept apart.
+    """
+
+    def __init__(self, callback, files, *options):
+        self.callback, self.doc = callback, callback.__doc__
+        self.files, self.options = files.split(), options
+
+
+class Cli:
+    """The command table, and the two parsers built from it for each run.
+
+    The top parser only splits off the command name, and the command's own
+    parser is the only one that gets its arguments: building all fourteen
+    as argparse subparsers would cost milliseconds on every run.
+    """
+
+    def __init__(self, commands):
+        self.commands = commands
+
+    def parse(self, argv):
+        """The command that argv names, and its keyword arguments."""
+        top = _Parser(
+            prog="subquo", description="Exact Groebner bases for subquotients of free modules.",
+            epilog="commands:\n" + "".join("  %-13s %s\n" % (name, cmd.doc) for name, cmd in self.commands.items()),
+            formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False,
+        )
+        top.add_argument("--version", action="version", version="subquo, version " + __version__)
+        top.add_argument("command", metavar="COMMAND", choices=self.commands, help="one of the commands below")
+        top.add_argument("args", metavar="ARGS", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
+        ns = top.parse_args(argv)
+        cmd = self.commands[ns.command]
+        p = _Parser(prog="subquo " + ns.command, description=cmd.doc, allow_abbrev=False)
+        for f in cmd.files:
+            p.add_argument(f, metavar=f.upper(), type=_input_file)
+        for flags, kwargs in cmd.options:
+            p.add_argument(*flags, **kwargs)
+        return ns.command, vars(p.parse_args(ns.args))
+
+
+_ORDER = (["--order"], dict(dest="order_text", metavar="SPEC", help="Monomial order, e.g. 'grevlex x1 x2 ; pot desc'."))
+_FIELD = (["--field"], dict(dest="field_text", metavar="F", help="Coefficient field: 'q' (default) or 'fp:<p>'."))
+_OUT = (["-o", "--output"], dict(type=_file_path, metavar="FILE", help="Write to a file instead of stdout."))
+
+cli = Cli({
+    "gb": Command(gb, "module_file", _ORDER, _FIELD, _OUT),
+    "relgb": Command(relgb, "u_file v_file", _ORDER, _FIELD, _OUT),
+    "syz": Command(syz, "module_file", _ORDER, _FIELD, _OUT),
+    "relsyz": Command(relsyz, "u_file h_file", _ORDER, _FIELD, _OUT),
+    "respres": Command(respres, "u_file v_file", _ORDER, _FIELD, _OUT),
+    "resolution": Command(
+        resolution, "u_file v_file",
+        (["--length"], dict(type=int, help="Number of differentials to compute.")), _ORDER, _FIELD, _OUT,
+    ),
+    "minimize": Command(minimize, "res_file", _FIELD, _OUT),
+    "betti": Command(betti, "res_file", _FIELD),
+    "hilbert": Command(
+        hilbert, "u_file v_file",
+        (["--degree"], dict(dest="degree_text", metavar="DEG", help="Single degree, e.g. '(1,2)'.")),
+        (["--box"], dict(dest="box_text", metavar="LO..HI", help="Degree box, e.g. '(0,0)..(4,3)'.")), _ORDER, _FIELD,
+    ),
+    "flange-gb": Command(flange_gb, "fim_file", _ORDER, _FIELD, _OUT),
+    "flange-pres": Command(flange_pres, "fim_file", _ORDER, _FIELD, _OUT),
+    "homology": Command(
+        homology, "complex_file",
+        (["--minimize"], dict(dest="do_min", action="store_true", help="Prune the presentation afterwards.")),
+        _ORDER, _FIELD, _OUT,
+    ),
+    "from-diagram": Command(from_diagram, "diagram_file", _FIELD, _OUT),
+    "verify": Command(
+        verify, "res_file",
+        (["--box"], dict(dest="box_text", metavar="LO..HI", help="Degree box to check, e.g. '(0,0)..(4,3)'.")), _FIELD,
+    ),
+})
 
 
 def main():
-    """Run the command line; input errors exit 1 and contract violations 2."""
+    """Run the command line; usage and input errors exit 1, contract violations 2."""
     try:
-        cli(prog_name="subquo", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        sys.exit(1)
-    except click.ClickException as exc:
-        exc.show()
+        name, kwargs = cli.parse(sys.argv[1:])
+        cli.commands[name].callback(**kwargs)
+    except KeyboardInterrupt:
+        print("aborted", file=sys.stderr)
         sys.exit(1)
     except (InputError, ContractViolation) as err:
-        click.echo("Error: %s" % err, err=True)
+        print("Error: %s" % err, file=sys.stderr)
         sys.exit(2 if isinstance(err, ContractViolation) else 1)
 
 

@@ -233,6 +233,9 @@ def parse_resolution_file(text, order_text=None, field_text=None):
     d0 = _read_matrix_block(cur, ring, "D0")
     if list(d0.row_shifts) != list(ambient):
         raise InputError("D0 row shifts must repeat the ambient shifts")
+    for j, col in enumerate(d0.cols):
+        if col.is_zero:
+            raise InputError("D0 column %d is zero: a generator of V must be nonzero" % (j + 1))
     diffs = []
     level = 1
     while cur.peek() is not None:

@@ -1,6 +1,7 @@
 """End-to-end tests for the subquo command line."""
 
 import os
+import subprocess
 import sys
 
 import pytest
@@ -554,6 +555,14 @@ class TestResolutions:
         code, out, err = run_cli(monkeypatch, capsys, "verify", str(mini))
         assert code == 2 and "exact" not in out
 
+    @pytest.mark.parametrize("command", ["verify", "minimize", "betti"])
+    def test_zero_generator_is_input_error(self, command, tmp_path, monkeypatch, capsys):
+        res = tmp_path / "zero-gen.res"
+        res.write_text(ZERO_COL_RES.split("U:")[0] + "U:\nX^2*e1\nD0:\nrows: (0)\ncols: (0) (1)\n1 0\n")
+        code, out, err = run_cli(monkeypatch, capsys, command, str(res))
+        assert (code, out) == (1, "")
+        assert "Error: D0 column 2 is zero" in err
+
     def test_inhomogeneous_resolution_is_input_error(self, tmp_path, monkeypatch, capsys):
         head = "n: 3\nvars: X Y Z\nfield: q\nrank: 1\norder: grevlex X Y Z ; pot desc\nelements:\n"
         u, v = tmp_path / "u.mod", tmp_path / "v.mod"
@@ -733,14 +742,6 @@ class TestHilbert:
 
 
 class TestPlumbing:
-    def test_missing_file_is_input_error(self, files, monkeypatch, capsys):
-        code, out, err = run_cli(monkeypatch, capsys, "gb", files["_dir"] + "/no.mod")
-        assert code == 1
-
-    def test_unknown_command_is_input_error(self, files, monkeypatch, capsys):
-        code, out, err = run_cli(monkeypatch, capsys, "frobnicate")
-        assert code == 1
-
     def test_parse_failure_is_input_error(self, files, monkeypatch, capsys):
         code, out, err = run_cli(monkeypatch, capsys, "gb", files["bad.mod"])
         assert code == 1
@@ -794,9 +795,7 @@ class TestPlumbing:
         assert [p.name for p in tmp_path.iterdir()] == []
 
     def test_version(self, files, monkeypatch, capsys):
-        code, out, err = run_cli(monkeypatch, capsys, "--version")
-        assert code == 0
-        assert "1.0.0" in out
+        assert run_cli(monkeypatch, capsys, "--version")[:2] == (0, "subquo, version 1.0.0\n")
 
     def test_field_override(self, files, tmp_path, monkeypatch, capsys):
         mod = tmp_path / "f5.mod"
@@ -821,3 +820,76 @@ class TestPlumbing:
         )
         assert code == 0
         assert "order: lex Y X ; pot desc" in out
+
+
+class TestUsageContract:
+    """Usage errors exit 1 with nothing on stdout and an `Error:` line on stderr."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            lambda f: [],
+            lambda f: ["frobnicate"],
+            lambda f: ["gb"],
+            lambda f: ["gb", os.path.join(f["_dir"], "no.mod")],
+            lambda f: ["gb", f["_dir"]],
+            lambda f: ["resolution", f["u2.mod"], f["v2.mod"], "--length", "x"],
+            lambda f: ["gb", f["u5.mod"], "--frobnicate"],
+            lambda f: ["resolution", f["u2.mod"], f["v2.mod"], "--len", "2"],
+        ],
+        ids=["no-command", "unknown-command", "missing-argument", "missing-file",
+             "directory", "bad-int", "unknown-option", "abbreviated-option"],
+    )
+    def test_usage_error(self, args, files, monkeypatch, capsys):
+        code, out, err = run_cli(monkeypatch, capsys, *args(files))
+        assert (code, out) == (1, "")
+        assert "Error:" in err
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("gb", ["--order", "--field", "--output"]),
+            ("resolution", ["--length", "--order", "--field", "--output"]),
+            ("betti", ["--field"]),
+            ("hilbert", ["--degree", "--box", "--order", "--field"]),
+            ("homology", ["--minimize", "--order", "--field", "--output"]),
+            ("verify", ["--box", "--field"]),
+        ],
+    )
+    def test_command_help(self, command, options, monkeypatch, capsys):
+        code, out, err = run_cli(monkeypatch, capsys, command, "--help")
+        assert code == 0
+        assert all(opt in out for opt in options)
+
+
+def _fresh_import(code):
+    """stdout of `code` run in a new interpreter with this checkout's src on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+class TestTracerContract:
+    """What an outside tracer relies on: `import subquo.cli` loads every
+    library module, and dispatch looks callbacks up in `cli.commands`."""
+
+    def test_library_modules_loaded(self):
+        out = _fresh_import("import subquo.cli, sys; print(' '.join(sorted(sys.modules)))")
+        for name in ("groebner", "relative", "homres", "graded", "flange"):
+            assert "subquo." + name in out.split()
+
+    def test_dispatch_calls_current_callback(self, files, monkeypatch, capsys):
+        import subquo.cli
+
+        seen = []
+        cmd = subquo.cli.cli.commands["gb"]
+        monkeypatch.setattr(cmd, "callback", lambda **kwargs: seen.append(kwargs))
+        code, out, err = run_cli(monkeypatch, capsys, "gb", files["u5.mod"], "--field", "fp:7")
+        assert (code, out) == (0, "")
+        assert seen == [
+            {"module_file": files["u5.mod"], "order_text": None, "field_text": "fp:7", "output": None}
+        ]
+
+
+def test_cli_does_not_import_click():
+    assert _fresh_import("import subquo.cli, sys; print('click' in sys.modules)") == "False\n"
