@@ -1,6 +1,6 @@
 """Homology presentations, free resolutions, pruning and diagram realizations."""
 
-from .elements import ModuleElement, exp_add
+from .elements import ModuleElement, exp_add, exp_sub
 from .errors import ContractViolation, InputError
 from .graded import (
     GradedMatrix,
@@ -8,14 +8,12 @@ from .graded import (
     _axpy,
     _box_ranks,
     deg_join,
-    deg_leq,
     deg_meet,
     degrees_in_box,
     element_degree,
     graded_dimensions,
     is_homogeneous,
     monomialize,
-    nullspace_basis,
 )
 from .groebner import (
     buchberger,
@@ -110,7 +108,9 @@ def homology_presentation(d1, p, d2, order):
     """Present the middle homology of F1 -> F0 -> F2' induced through p.
 
     d1 maps F1 into F0, p projects F1 onto the ambient free module of the
-    homology, and the columns of d2 span the inner submodule there.
+    homology, and the columns of d2 span the inner submodule there, which
+    must be graded for p's row shifts. The result is the first level of
+    free_resolution of p(ker d1) over it.
     """
     if p.ncols != d1.ncols:
         raise InputError("projection must share its domain with the inner map")
@@ -119,22 +119,10 @@ def homology_presentation(d1, p, d2, order):
     for name, m in (("D1", d1), ("P", p), ("D2", d2)):
         if not m.is_homogeneous():
             raise InputError("matrix %s is not homogeneous" % name)
-    ring = p.ring
-    aorder = order.for_rank(p.nrows)
-    kernel = kernel_of_free_map(d1, order)
-    v_gens = [p.apply(k) for k in kernel]
-    v_gens = [v for v in v_gens if not v.is_zero]
-    g_u = _inner_basis(d2.cols, aorder)
-    h = relative_buchberger(v_gens, g_u, aorder)
-    h = reduce_relative(h, g_u, aorder)
-    diffs = []
-    if h:
-        cols, _ = relative_schreyer(h, g_u, aorder)
-        gdeg = [element_degree(x, p.row_shifts) for x in h]
-        if cols:
-            cdeg = [element_degree(c, gdeg) for c in cols]
-            diffs.append(GradedMatrix(ring, gdeg, cdeg, cols))
-    return Resolution(ring, order, p.row_shifts, g_u, h, diffs)
+    v_gens = [p.apply(k) for k in kernel_of_free_map(d1, order)]
+    if all(v.is_zero for v in v_gens + d2.cols):
+        return Resolution(p.ring, order, p.row_shifts, [], [], [])
+    return free_resolution(v_gens, d2.cols, order, p.row_shifts, length=1)
 
 
 def free_resolution(v_gens, u_gens, order, shifts=None, length=None):
@@ -320,108 +308,96 @@ class VectorDiagram:
             hi = deg_join(hi, a)
         return hi
 
+    def _act(self, k, a, vec):
+        """Action of variable k on a sparse {coordinate: value} vector of the
+        fiber at degree a; a missing map, or a zero fiber, acts as zero."""
+        rows = self.maps.get((k, a))
+        if rows is None or not vec:
+            return {}
+        zero = self.ring.field.zero
+        out = {}
+        for r, row in enumerate(rows):
+            v = sum((row[c] * x for c, x in vec.items()), zero)
+            if v:
+                out[r] = v
+        return out
+
     def _check_commuting(self):
-        field = self.ring.field
-        for a in self.dims:
+        one = self.ring.field.one
+        for a, d in self.dims.items():
             for k in range(self.ring.n):
                 for l in range(k + 1, self.ring.n):
                     ak = exp_add(a, self._unit(k))
                     al = exp_add(a, self._unit(l))
-                    lhs = _mat_mul(self.map(l, ak), self.map(k, a), field)
-                    rhs = _mat_mul(self.map(k, al), self.map(l, a), field)
-                    if lhs != rhs:
-                        raise InputError(
-                            "diagram does not commute at degree %s on %s, %s"
-                            % ((a,), self.ring.names[k], self.ring.names[l])
-                        )
-
-
-def _mat_mul(A, B, field):
-    """Product of rows-lists matrices over a field."""
-    if not A or not B:
-        return [[field.zero] * (len(B[0]) if B else 0) for _ in A]
-    return [
-        [
-            sum((ra[t] * B[t][c] for t in range(len(B))), field.zero)
-            for c in range(len(B[0]))
-        ]
-        for ra in A
-    ]
-
-
-def _transport(diag, vec, a, b):
-    """Push a fiber vector at degree a up to degree b along the actions."""
-    cur, deg = list(vec), tuple(a)
-    for k in range(diag.ring.n):
-        for _ in range(b[k] - deg[k]):
-            cur = [row_val for row_val in _apply_map(diag.map(k, deg), cur, diag.ring.field)]
-            deg = exp_add(deg, diag._unit(k))
-    return cur
-
-
-def _apply_map(rows, vec, field):
-    return [sum((r[i] * vec[i] for i in range(len(vec))), field.zero) for r in rows]
+                    for j in range(d):
+                        e = {j: one}
+                        if self._act(l, ak, self._act(k, a, e)) != self._act(k, al, self._act(l, a, e)):
+                            raise InputError(
+                                "diagram does not commute at degree %s on %s, %s"
+                                % ((a,), self.ring.names[k], self.ring.names[l])
+                            )
 
 
 def module_from_diagram(diag):
-    """Realize a diagram as a subquotient of a free module.
+    """Realize a diagram M as a subquotient V/U of a free module R^s.
 
-    Returns (v_gens, u_gens) inside R^s where s generators are chosen greedily
-    from fiber coordinates not hit by the actions from below.
+    Returns (v_gens, u_gens): v_gens[i] = x^(b_i) e_i, the generators
+    numbered by (total degree, reversed degree, coordinate), and u_gens the
+    reduced Groebner basis of the kernel U of F = sum_i R(-b_i) -> M,
+    shifted into R^s by monomialize.
+
+    One walk over degrees_in_box(0, hi + 1), hi the join of the support,
+    reaches each a - e_k before a. At a, the image of every generator live
+    at some a - e_k is carried up by x_k (the diagram commutes, so any such
+    k will do), and the fiber coordinates outside the span of those images
+    become new generators, greedily. One echelon form over the rows (0 | w),
+    w in the kernels at the a - e_k, then (image | e_i) per live generator
+    i, holds U_a in its pivots past dim M_a; the ones the rows (image | e_i)
+    add span U_a modulo sum_k x_k U_(a - e_k), and only those are completed.
+    They generate the same U as all kernel vectors of the box, and the
+    reduced Groebner basis of U is unique, so the output is the same.
     """
     ring = diag.ring
-    field = ring.field
+    one = ring.field.one
     hi = diag.support_join()
     if hi is None:
         raise InputError("diagram has no nonzero fibers")
-    zero = (0,) * ring.n
-    gens = []
-    for a in sorted(diag.dims, key=lambda d: (sum(d), tuple(reversed(d)))):
+    gens, new, images, kernels = [], [], {}, {}  # gens[i] = (b_i, coordinate), new = [(a, {i: coeff})]
+    for a in degrees_in_box((0,) * ring.n, exp_add(hi, (1,) * ring.n)):
         da = diag.dim(a)
-        pivots = {}  # echelon form of the span of the images from below
+        here, below = {}, []
         for k in range(ring.n):
-            src = tuple(x - y for x, y in zip(a, diag._unit(k)))
-            if any(x < 0 for x in src) or not diag.dim(src):
-                continue
-            m = diag.map(k, src)
-            for c in range(diag.dim(src)):
-                _add_row(pivots, {r: m[r][c] for r in range(da) if m[r][c]})
+            if a[k]:
+                src = exp_sub(a, diag._unit(k))
+                for i, vec in images[src].items():
+                    if i not in here:
+                        here[i] = diag._act(k, src, vec)
+                below.extend(kernels[src])
+        span = {}
+        for vec in here.values():
+            _add_row(span, dict(vec))
         for idx in range(da):
-            if _add_row(pivots, {idx: field.one}):
+            if _add_row(span, {idx: one}):
+                here[len(gens)] = {idx: one}
                 gens.append((a, idx))
+        pivots = {}
+        for w in below:
+            _add_row(pivots, {da + i: v for i, v in w.items()})
+        old = set(pivots)
+        for i, vec in here.items():
+            _add_row(pivots, {**vec, da + i: one})
+        kern = {c: {c - da: one, **{j - da: v for j, v in t.items()}} for c, t in pivots.items() if c >= da}
+        kernels[a] = list(kern.values())
+        new += [(a, w) for c, w in kern.items() if c not in old]
+        images[a] = here
     s = len(gens)
-    bdegs = [a for a, _ in gens]
-    kernel = []
-    box_hi = exp_add(hi, (1,) * ring.n)
-    for a in degrees_in_box(zero, box_hi):
-        live = [i for i in range(s) if deg_leq(bdegs[i], a)]
-        if not live:
-            continue
-        da = diag.dim(a)
-        cols = []
-        for i in live:
-            e = [field.zero] * diag.dim(bdegs[i])
-            e[gens[i][1]] = field.one
-            cols.append(_transport(diag, e, bdegs[i], a))
-        rows = [[cols[c][r] for c in range(len(live))] for r in range(da)]
-        for v in nullspace_basis(rows, len(live), field):
-            el = ModuleElement(
-                ring,
-                s,
-                {
-                    (live[c], tuple(x - y for x, y in zip(a, bdegs[live[c]]))): v[c]
-                    for c in range(len(live))
-                    if v[c]
-                },
-            )
-            if not el.is_zero:
-                kernel.append(el)
+    perm = sorted(range(s), key=lambda i: (sum(gens[i][0]), tuple(reversed(gens[i][0])), gens[i][1]))
+    pos = {i: r for r, i in enumerate(perm)}
+    bdegs = [gens[i][0] for i in perm]
+    kernel = [ModuleElement(ring, s, {(pos[i], exp_sub(a, gens[i][0])): v for i, v in w.items()}) for a, w in new]
     order = default_order(ring, s)
-    u_pre = _inner_basis(kernel, order)
-    u_gens = [monomialize(g, bdegs) for g in u_pre]
-    v_gens = [
-        ModuleElement.monomial(ring, s, i, bdegs[i]) for i in range(s)
-    ]
+    u_gens = [monomialize(g, bdegs) for g in _inner_basis(kernel, order)]
+    v_gens = [ModuleElement.monomial(ring, s, i, b) for i, b in enumerate(bdegs)]
     return v_gens, u_gens
 
 

@@ -17,6 +17,7 @@ from subquo import (
     parse_element,
     parse_order,
 )
+from subquo.graded import deg_leq, degrees_in_box, rref
 
 try:
     import hypothesis
@@ -211,6 +212,49 @@ def staircase_diagram(ring):
         (1, (2, 0)): qgrid(F, [[1]]),
     }
     return VectorDiagram(ring, dims, maps)
+
+
+def conjugated_diagram(ring, comps, entry):
+    """Diagram of the monomial subquotient sum_i V_i/U_i with every fiber
+    conjugated by an invertible matrix.
+
+    comps lists (v_exps, u_exps) per component: V_i is spanned by the x^c e_i
+    for c in v_exps and U_i by the x^d e_i for d in u_exps, which must hold a
+    pure power of every variable. Component i sits in the fiber at a when
+    some c <= a and no d <= a. Each fiber gets the change of basis P = L*R,
+    L unit lower and R unit upper triangular with off-diagonal entries from
+    entry(), and map k at a becomes P_(a+e_k) M P_a^-1.
+    """
+    F = ring.field
+    top = tuple(max(d[k] for _, us in comps for d in us) for k in range(ring.n))
+
+    def present(a):
+        return [
+            i for i, (vs, us) in enumerate(comps)
+            if any(deg_leq(c, a) for c in vs) and not any(deg_leq(d, a) for d in us)
+        ]
+
+    def mul(A, B):
+        return [[sum((x * B[t][c] for t, x in enumerate(r)), F.zero) for c in range(len(B[0]))] for r in A]
+
+    fibers = {a: present(a) for a in degrees_in_box((0,) * ring.n, top)}
+    fibers = {a: p for a, p in fibers.items() if p}
+    basis, inverse = {}, {}
+    for a, p in fibers.items():
+        d = len(p)
+        L = [[F.one if i == j else F.from_int(entry()) if j < i else F.zero for j in range(d)] for i in range(d)]
+        R = [[F.one if i == j else F.from_int(entry()) if j > i else F.zero for j in range(d)] for i in range(d)]
+        P = mul(L, R)
+        red, _ = rref([row + [F.one if i == j else F.zero for j in range(d)] for i, row in enumerate(P)])
+        basis[a], inverse[a] = P, [r[d:] for r in red]
+    maps = {}
+    for a, p in fibers.items():
+        for k in range(ring.n):
+            b = tuple(x + (v == k) for v, x in enumerate(a))
+            if b in fibers:
+                M = [[F.one if i == j else F.zero for j in p] for i in fibers[b]]
+                maps[(k, a)] = mul(mul(basis[b], M), inverse[a])
+    return VectorDiagram(ring, {a: len(p) for a, p in fibers.items()}, maps)
 
 
 def random_exponent(rng, n, max_deg):

@@ -289,6 +289,184 @@ X2^2*e2
 X1^3*X2*e2
 """
 
+# Conjugated monomial diagrams (every fiber in a random basis) and their
+# realizations. Their generators sit in different degrees, so they pin the
+# numbering by (total degree, reversed degree, coordinate).
+CONJ_Q2_DIAG = """\
+n: 2
+vars: X Y
+field: q
+dim (0,0): 2
+dim (1,0): 2
+dim (0,1): 3
+dim (1,1): 1
+map 1 (0,0): 2 -1 ; -3 2
+map 1 (0,1): 1 -6 -2
+map 2 (0,0): -2 3 ; 0 0 ; -1 1
+map 2 (1,0): 3 2
+"""
+
+CONJ_Q2_OUT = """\
+n: 2
+vars: X Y
+field: q
+rank: 3
+V:
+e1
+e2
+Y*e3
+U:
+X^2*e1
+X*Y*e1
+Y^2*e1
+X^2*e2
+X*Y*e2+1/6*X*Y*e3
+Y^2*e2
+Y^2*e3
+X^2*Y*e3
+"""
+
+CONJ_Q3_DIAG = """\
+n: 3
+vars: X Y Z
+field: q
+dim (0,2,0): 2
+dim (1,2,0): 1
+dim (0,2,1): 1
+dim (1,2,1): 1
+map 1 (0,2,0): 2 1
+map 1 (0,2,1): 1
+map 3 (0,2,0): 2 1
+map 3 (1,2,0): 1
+"""
+
+CONJ_Q3_OUT = """\
+n: 3
+vars: X Y Z
+field: q
+rank: 2
+V:
+Y^2*e1
+Y^2*e2
+U:
+X*Y^2*e1-2*X*Y^2*e2
+Y^3*e1
+Y^2*Z*e1-2*Y^2*Z*e2
+Y^3*e2
+X^2*Y^2*e2
+Y^2*Z^2*e2
+"""
+
+CONJ_FP2_DIAG = """\
+n: 2
+vars: X Y
+field: fp:32003
+dim (0,1): 1
+dim (2,0): 3
+dim (1,1): 1
+dim (3,0): 1
+dim (2,1): 3
+dim (3,1): 1
+map 1 (0,1): 1
+map 1 (2,0): 32002 0 2
+map 1 (1,1): 2 ; 3 ; 4
+map 1 (2,1): 4 31999 1
+map 2 (2,0): 1 32000 32000 ; 2 31999 31998 ; 3 31999 31997
+map 2 (3,0): 1
+"""
+
+CONJ_FP2_OUT = """\
+n: 2
+vars: X Y
+field: fp:32003
+rank: 4
+V:
+Y*e1
+X^2*e2
+X^2*e3
+X^2*e4
+U:
+Y^2*e1
+X^2*Y*e1+32001*X^2*Y*e2+X^2*Y*e3+32002*X^2*Y*e4
+X^3*e2+16002*X^3*e4
+X^2*Y^2*e2
+X^3*e3
+X^2*Y^2*e3
+X^4*e4
+X^2*Y^2*e4
+"""
+
+CONJ_FP3_DIAG = """\
+n: 3
+vars: X Y Z
+field: fp:32003
+dim (2,0,0): 1
+dim (0,1,1): 2
+dim (2,1,0): 1
+dim (2,0,1): 1
+dim (1,1,1): 1
+dim (0,2,1): 1
+dim (2,1,1): 1
+map 1 (0,1,1): 32001 1
+map 1 (1,1,1): 1
+map 2 (2,0,0): 1
+map 2 (0,1,1): 32001 1
+map 2 (2,0,1): 1
+map 3 (2,0,0): 1
+map 3 (2,1,0): 1
+"""
+
+CONJ_FP3_OUT = """\
+n: 3
+vars: X Y Z
+field: fp:32003
+rank: 3
+V:
+X^2*e1
+Y*Z*e2
+Y*Z*e3
+U:
+X^3*e1
+X^2*Y^2*e1
+X^2*Y*Z*e1+32002*X^2*Y*Z*e3
+X^2*Z^2*e1
+X*Y*Z*e2+2*X*Y*Z*e3
+Y^2*Z*e2+2*Y^2*Z*e3
+Y*Z^2*e2
+Y*Z^2*e3
+X*Y^2*Z*e3
+Y^3*Z*e3
+X^3*Y*Z*e3
+"""
+
+# The middle fiber (0,1) of the path Y then X is zero, so that composite is
+# the zero map, as is X then Y.
+ZERO_FIBER_DIAG = """\
+n: 2
+vars: X Y
+field: q
+dim (0,0): 1
+dim (1,0): 1
+dim (1,1): 1
+map 1 (0,0): 1
+map 2 (1,0): 0
+"""
+
+ZERO_FIBER_OUT = """\
+n: 2
+vars: X Y
+field: q
+rank: 2
+V:
+e1
+X*Y*e2
+U:
+Y*e1
+X^2*e1
+X^2*Y*e2
+X*Y^2*e2
+"""
+
 HOM_OUT = """\
 n: 2
 vars: X1 X2
@@ -674,6 +852,32 @@ class TestHomologyAndDiagrams:
     def test_from_diagram(self, files, monkeypatch, capsys):
         code, out, err = run_cli(monkeypatch, capsys, "from-diagram", files["m.diag"])
         assert (code, out) == (0, DIAG_OUT)
+
+    @pytest.mark.parametrize(
+        "diagram, want",
+        [
+            (CONJ_Q2_DIAG, CONJ_Q2_OUT),
+            (CONJ_Q3_DIAG, CONJ_Q3_OUT),
+            (CONJ_FP2_DIAG, CONJ_FP2_OUT),
+            (CONJ_FP3_DIAG, CONJ_FP3_OUT),
+            (ZERO_FIBER_DIAG, ZERO_FIBER_OUT),
+        ],
+        ids=["q2", "q3", "fp2", "fp3", "zero-fiber"],
+    )
+    def test_from_diagram_frozen(self, diagram, want, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "d.diag"
+        path.write_text(diagram)
+        assert run_cli(monkeypatch, capsys, "from-diagram", str(path)) == (0, want, "")
+
+    def test_homology_inner_module_must_be_homogeneous_for_p(self, tmp_path, monkeypatch, capsys):
+        # D2 is homogeneous for its own rows, but under P's rows (1,0), (0,1)
+        # its column X1*X2*e4 + X1*X2*e5 has degrees (2,1) and (1,2)
+        path = tmp_path / "bad.cpx"
+        d2 = "D2:\nrows: (0,0) (0,0) (0,0) (1,0) (1,0)\ncols: (2,1)\n0\n0\n0\nX1*X2\nX1*X2\n"
+        path.write_text(C42_CPX.split("D2:")[0] + d2)
+        code, out, err = run_cli(monkeypatch, capsys, "homology", str(path))
+        assert (code, out) == (1, "")
+        assert err == "Error: inner module element <X1*X2*e4+X1*X2*e5> is not homogeneous\n"
 
 
 class TestHilbert:

@@ -9,7 +9,15 @@ from subquo import homres
 from subquo.elements import ModuleElement, QQ, Ring, parse_element, parse_field
 from subquo.errors import ContractViolation, InputError
 from subquo.files import emit_resolution_file
-from subquo.graded import GradedMatrix
+from subquo.graded import (
+    GradedMatrix,
+    deg_leq,
+    degrees_in_box,
+    element_degree,
+    graded_dimensions,
+    matrix_rank,
+    nullspace_basis,
+)
 from subquo.homres import (
     Resolution,
     VectorDiagram,
@@ -28,6 +36,7 @@ from conftest import (
     R2_V,
     R6_U,
     R6_V,
+    conjugated_diagram,
     cube_resolution,
     els,
     fmts,
@@ -126,6 +135,13 @@ class TestHomologyPresentation:
             homology_presentation(d2, p, d2, order)
         with pytest.raises(InputError):
             homology_presentation(d1, p, d1, order)
+
+    def test_zero_kernel_and_boundary_give_empty_resolution(self, ring2, order2):
+        one = ModuleElement.monomial(ring2, 1, 0, (0, 0))
+        ident = GradedMatrix(ring2, [(0, 0)], [(0, 0)], [one])
+        d2 = GradedMatrix(ring2, [(0, 0)], [(1, 0)], [ModuleElement.zero(ring2, 1)])
+        res = homology_presentation(ident, ident, d2, order2)
+        assert (res.gens, res.u_gens, res.diffs, res.ambient_shifts) == ([], [], [], ((0, 0),))
 
 
 class TestFreeResolution:
@@ -402,6 +418,20 @@ class TestVectorDiagram:
         with pytest.raises(InputError):
             VectorDiagram(ring2, dims, maps)
 
+    def test_composite_through_zero_fiber_is_zero(self, ring_xy):
+        # X then Y is 1 then 0; Y then X passes the zero fiber at (0,1)
+        dims = {(0, 0): 1, (1, 0): 1, (1, 1): 1}
+        maps = {(0, (0, 0)): qgrid(QQ, [[1]]), (1, (1, 0)): qgrid(QQ, [[0]])}
+        diag = VectorDiagram(ring_xy, dims, maps)
+        assert diag.map(1, (0, 0)) == [] and diag.map(0, (0, 1)) == [[]]
+
+    def test_zero_fiber_path_against_nonzero_rejected(self, ring_xy):
+        dims = {(0, 0): 1, (1, 0): 1, (1, 1): 1}
+        maps = {(0, (0, 0)): qgrid(QQ, [[1]]), (1, (1, 0)): qgrid(QQ, [[1]])}
+        with pytest.raises(InputError) as err:
+            VectorDiagram(ring_xy, dims, maps)
+        assert str(err.value) == "diagram does not commute at degree ((0, 0),) on X, Y"
+
 
 class TestModuleFromDiagram:
     def test_staircase_realization_frozen(self, ring2):
@@ -418,3 +448,89 @@ class TestModuleFromDiagram:
     def test_empty_diagram_rejected(self, ring2):
         with pytest.raises(InputError):
             module_from_diagram(VectorDiagram(ring2, {}, {}))
+
+
+class TestDiagramOracle:
+    """module_from_diagram against dense recounts on conjugated monomial
+    diagrams (conftest.conjugated_diagram), over q and fp:32003."""
+
+    @staticmethod
+    def diagrams(st):
+        @st.composite
+        def draw_diagram(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            n = draw(st.integers(2, 3))
+            ring = Ring(n, field, ("X", "Y", "Z")[:n])
+            comps = []
+            for _ in range(draw(st.integers(1, 3))):
+                vs = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=2))
+                top = [max(c[k] for c in vs) + draw(st.integers(1, 2)) for k in range(n)]
+                us = [tuple(top[k] if v == k else 0 for v in range(n)) for k in range(n)]
+                us += draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=2))
+                comps.append((vs, us))
+            return conjugated_diagram(ring, comps, lambda: draw(st.integers(-2, 2)))
+
+        return draw_diagram().filter(lambda diag: diag.dims)
+
+    @staticmethod
+    def push(diag, vec, b, a):
+        """Dense image at a of the fiber vector vec at b <= a, one variable
+        at a time; a zero fiber on the way gives the zero vector."""
+        zero = diag.ring.field.zero
+        for k in range(diag.ring.n):
+            while b[k] < a[k]:
+                vec = [sum((r[i] * x for i, x in enumerate(vec)), zero) for r in diag.map(k, b)]
+                b = tuple(x + (v == k) for v, x in enumerate(b))
+        return vec
+
+    def recount(self, diag, box):
+        """Per degree a: the generators (a, coordinate) outside the dense
+        image of sum_k x_k M_(a-e_k), and dim U_a - dim sum_k x_k U_(a-e_k)
+        for the kernel U of the free cover they give."""
+        field = diag.ring.field
+        gens, kernels, new = [], {}, {}
+        for a in box:
+            da = diag.dim(a)
+            units = [[field.one if c == idx else field.zero for c in range(da)] for idx in range(da)]
+            below = [(k, tuple(x - (v == k) for v, x in enumerate(a))) for k in range(len(a)) if a[k]]
+            image = [[m[r][c] for r in range(da)] for k, b in below for m in [diag.map(k, b)] for c in range(diag.dim(b))]
+            for idx in range(da):
+                if matrix_rank(image + units[: idx + 1]) > matrix_rank(image + units[:idx]):
+                    gens.append((a, idx))
+            live = [i for i, (b, _) in enumerate(gens) if deg_leq(b, a)]
+            cols = [self.push(diag, [field.one if c == idx else field.zero for c in range(diag.dim(b))], b, a)
+                    for b, idx in (gens[i] for i in live)]
+            kernels[a] = []
+            for w in nullspace_basis([[col[r] for col in cols] for r in range(da)], len(live), field):
+                full = [field.zero] * len(gens)
+                for i, x in zip(live, w):
+                    full[i] = x
+                kernels[a].append(full)
+            lower = [w + [field.zero] * (len(gens) - len(w)) for _, b in below for w in kernels[b]]
+            new[a] = len(kernels[a]) - matrix_rank(lower)
+        return gens, new
+
+    def test_realization_matches_dense_recounts(self, monkeypatch):
+        hyp = pytest.importorskip("hypothesis")
+        seen = []
+        inner = homres._inner_basis
+        monkeypatch.setattr(homres, "_inner_basis", lambda u, order: seen.append(list(u)) or inner(u, order))
+
+        @hyp.settings(max_examples=60)
+        @hyp.given(self.diagrams(hyp.strategies))
+        def check(diag):
+            seen.clear()
+            v, u = module_from_diagram(diag)
+            n = diag.ring.n
+            box = list(degrees_in_box((0,) * n, tuple(x + 1 for x in diag.support_join())))
+            shifts = [(0,) * n] * len(v)
+            assert list(graded_dimensions(v, u, shifts, box[0], box[-1])) == [diag.dim(a) for a in box]
+            gens, new = self.recount(diag, box)
+            bdegs = [element_degree(g) for g in v]
+            assert sorted(bdegs, key=lambda b: (sum(b), b[::-1])) == bdegs
+            assert sorted(bdegs) == sorted(b for b, _ in gens)
+            (handed,) = seen
+            got = [element_degree(w, bdegs) for w in handed]
+            assert {a: got.count(a) for a in box} == new
+
+        check()
