@@ -133,6 +133,15 @@ def _add_row(pivots, row):
     return False
 
 
+def _spans(rows, vec):
+    """Return True when the sparse vector vec lies in the span of the sparse
+    rows: it does exactly when _add_row finds that it does not raise their rank."""
+    pivots = {}
+    for r in rows:
+        _add_row(pivots, dict(r))
+    return not _add_row(pivots, dict(vec))
+
+
 def _box_ranks(rows, lo, hi):
     """Rank of the rows of degree <= a, for each a in degrees_in_box(lo, hi).
 

@@ -3,27 +3,11 @@
 from .elements import ModuleElement, exp_add, exp_sub
 from .errors import ContractViolation, InputError
 from .graded import (
-    GradedMatrix,
-    _add_row,
-    _axpy,
-    _box_ranks,
-    deg_join,
-    deg_meet,
-    degrees_in_box,
-    element_degree,
-    graded_dimensions,
-    is_homogeneous,
-    monomialize,
+    GradedMatrix, _add_row, _axpy, _box_ranks, _element_rows, _spans, deg_join, deg_leq, deg_meet, degrees_in_box,
+    element_degree, graded_dimensions, is_homogeneous, monomialize,
 )
 from .groebner import (
-    buchberger,
-    buchberger_transform,
-    express,
-    minimal_groebner,
-    minimal_transform,
-    normal_form,
-    reduce_groebner,
-    schreyer_syzygies,
+    buchberger, buchberger_transform, express, minimal_groebner, minimal_transform, reduce_groebner, schreyer_syzygies,
 )
 from .orders import default_order
 from .relative import reduce_relative, relative_buchberger, relative_schreyer
@@ -104,13 +88,24 @@ def _inner_basis(u_gens, order):
     return reduce_groebner(buchberger(live, order), order)
 
 
+def _graded_inner_basis(u_gens, order, shifts):
+    """Reduced Groebner basis of the inner submodule, which must be graded
+    for the shifts: its reduced basis is homogeneous exactly when it is."""
+    g_u = _inner_basis(u_gens, order)
+    for g in g_u:
+        if not is_homogeneous(g, shifts):
+            raise InputError("inner module element %r is not homogeneous" % g)
+    return g_u
+
+
 def homology_presentation(d1, p, d2, order):
     """Present the middle homology of F1 -> F0 -> F2' induced through p.
 
     d1 maps F1 into F0, p projects F1 onto the ambient free module of the
     homology, and the columns of d2 span the inner submodule there, which
-    must be graded for p's row shifts. The result is the first level of
-    free_resolution of p(ker d1) over it.
+    must be graded for p's row shifts; that is checked before the kernel of
+    d1 is computed. The result is the first level of free_resolution of
+    p(ker d1) over it.
     """
     if p.ncols != d1.ncols:
         raise InputError("projection must share its domain with the inner map")
@@ -119,10 +114,10 @@ def homology_presentation(d1, p, d2, order):
     for name, m in (("D1", d1), ("P", p), ("D2", d2)):
         if not m.is_homogeneous():
             raise InputError("matrix %s is not homogeneous" % name)
+    aorder = order.for_rank(p.nrows)
+    g_u = _graded_inner_basis(d2.cols, aorder, p.row_shifts)
     v_gens = [p.apply(k) for k in kernel_of_free_map(d1, order)]
-    if all(v.is_zero for v in v_gens + d2.cols):
-        return Resolution(p.ring, order, p.row_shifts, [], [], [])
-    return free_resolution(v_gens, d2.cols, order, p.row_shifts, length=1)
+    return _resolve(p.ring, v_gens, g_u, order, aorder, p.row_shifts, 1)
 
 
 def free_resolution(v_gens, u_gens, order, shifts=None, length=None):
@@ -130,15 +125,17 @@ def free_resolution(v_gens, u_gens, order, shifts=None, length=None):
     pool = [g for g in list(v_gens) + list(u_gens) if not g.is_zero]
     if not pool:
         raise InputError("no nonzero generators given")
-    ring = pool[0].ring
-    rank = pool[0].rank
+    ring, rank = pool[0].ring, pool[0].rank
     if shifts is None:
         shifts = ((0,) * ring.n,) * rank
     aorder = order.for_rank(rank)
-    g_u = _inner_basis(u_gens, aorder)
-    for g in g_u:  # the reduced basis is homogeneous exactly when U is graded
-        if not is_homogeneous(g, shifts):
-            raise InputError("inner module element %r is not homogeneous" % g)
+    g_u = _graded_inner_basis(u_gens, aorder, shifts)
+    return _resolve(ring, v_gens, g_u, order, aorder, shifts, length)
+
+
+def _resolve(ring, v_gens, g_u, order, aorder, shifts, length):
+    """free_resolution over the graded inner basis g_u, with aorder the
+    order at the rank of the ambient free module."""
     h = reduce_relative(relative_buchberger(v_gens, g_u, aorder), g_u, aorder)
     res = Resolution(ring, order, shifts, g_u, h, [])
     if not h:
@@ -159,95 +156,89 @@ def free_resolution(v_gens, u_gens, order, shifts=None, length=None):
 def prune_minimize(res):
     """Minimize a resolution by cancelling constant entries, then dropping
     redundant columns of the last differential and normalizing leads (a
-    zero column has none and is left as it is).
+    zero column has none and is left as it is). Every differential must be
+    homogeneous, which is checked before any cancellation.
 
-    Cancellation works in place on sparse {(row, exp): coeff} columns kept
+    A free component of shift s holds one monomial per fine degree (see
+    graded._box_ranks), so a homogeneous column is its scalar vector
+    {row: coeff}, and entry (i, j) is constant exactly when row i and column
+    j have the same shift. Cancellation works in place on these vectors,
     under their original indices, with one alive set per free module (F_0
     holds the generators, F_k the columns of D_k). In D_(k+1) the pivot is a
     constant entry a at the lowest alive row r, then the lowest alive column
-    c. Every other alive column l with entry b*x^d in row r loses (b/a)*x^d
-    times column c, and r and c are marked dead. That column operation
-    replaces e_l by e_l - (b/a)*x^d*e_c in F_(k+1), so it changes the columns
-    of D_(k+2) only in coordinate e_c, which dies with c: they need no
-    update. Entries in dead rows are ignored, and the survivors are
-    renumbered once, in order, at the end; since renumbering keeps the
-    order, the pivots are those of dropping each pair as it is cancelled.
-    The constant entries in alive rows are indexed per column as
-    {row: coeff} and refreshed only for the columns a cancellation touched:
-    an untouched column has no entry in the dead row r.
+    c. Every other alive column l with entry b in row r loses b/a times
+    column c (times the monomial of their degree difference), and r and c
+    die. That replaces e_l by e_l - (b/a)*x^d*e_c in F_(k+1), which changes
+    D_(k+2) only in coordinate e_c, dead with c. Survivors are renumbered
+    once, in order, at the end, so the pivots are those of dropping each pair
+    as it is cancelled. Constant entries in alive rows are kept per column
+    and refreshed only for the columns a cancellation touched.
+
+    Column j of degree b of the last differential is dropped exactly when its
+    vector lies in the span of the columns of degree < b and the earlier ones
+    of degree b (if every column is zero, the first is kept). A homogeneous
+    element of degree b lies in the module of the columns exactly when its
+    vector lies in the span of those of degree <= b, so by induction on b the
+    kept columns generate that module minimally (graded Nakayama). The rule
+    equals one pass from the last column to the first that drops each column
+    lying in the module of the others left: drops keep the module, so the
+    columns of degree < b left span what all do, and by induction down the
+    pass the kept columns of degree b after j are independent modulo lower
+    degrees, so j lies in the span of them and the earlier ones exactly when
+    it lies in the span of the earlier ones. That pass leaves nothing to drop.
     """
     ring = res.ring
-    zero_exp = (0,) * ring.n
-
-    def constants(col, rows):
-        return {i: v for (i, e), v in col.items() if e == zero_exp and i in rows}
-
-    sparse = [[dict(col.terms) for col in d.cols] for d in res.diffs]
+    sparse = []
+    for idx, d in enumerate(res.diffs):
+        try:
+            sparse.append([vec for _, vec in d._scalar_columns()])
+        except ContractViolation:
+            raise ContractViolation("differential %d is not homogeneous" % (idx + 1)) from None
     alive = [set(range(len(res.gens)))] + [set(range(d.ncols)) for d in res.diffs]
-    for idx, cols in enumerate(sparse):
-        rows, live = alive[idx], alive[idx + 1]
-        consts = {c: constants(cols[c], rows) for c in live}
-        while True:
-            pivot = min(((r, c) for c, m in consts.items() for r in m), default=None)
-            if pivot is None:
-                break
-            r, c = pivot
+    for d, cols, rows, live in zip(res.diffs, sparse, alive, alive[1:]):
+        def constants(c):
+            return {i: v for i, v in cols[c].items() if i in rows and d.row_shifts[i] == d.col_shifts[c]}
+
+        consts = {c: constants(c) for c in live}
+        while any(consts.values()):
+            r, c = min((r, c) for c, m in consts.items() for r in m)
             a = consts.pop(c)[r]
             rows.remove(r)
             live.remove(c)
             for l in live:
-                entry = [(e, b) for (i, e), b in cols[l].items() if i == r]
-                if not entry:
-                    continue
-                if len(entry) != 1:
-                    raise ContractViolation("differential %d is not homogeneous" % (idx + 1))
-                (dl, b), = entry
-                _axpy(cols[l], -b / a, {(i, exp_add(e, dl)): v for (i, e), v in cols[c].items()})
-                consts[l] = constants(cols[l], rows)
+                if r in cols[l]:
+                    _axpy(cols[l], -cols[l][r] / a, cols[c])
+                    consts[l] = constants(l)
     keep = [sorted(s) for s in alive]
-    gens = [res.gens[j] for j in keep[0]]
-    levels = []
-    for idx, d in enumerate(res.diffs):
-        pos = {i: k for k, i in enumerate(keep[idx])}
+    while len(keep) > 1 and not keep[-1]:
+        keep.pop()
+    if not keep[0]:
+        del keep[1:]
+    if len(keep) > 1:  # the redundant-column pass on the last differential
+        k, last = len(keep) - 2, keep[-1]
+        degs = res.diffs[k].col_shifts
+        vecs = {j: {i: v for i, v in sparse[k][j].items() if i in alive[k]} for j in last}
+        keep[-1] = [
+            j for j in last
+            if not _spans([vecs[l] for l in last if deg_leq(degs[l], degs[j]) and (degs[l] != degs[j] or l < j)], vecs[j])
+        ] or last[:1]
+    one, leads, diffs = ring.field.one, None, []
+    for d, cols, rows, live in zip(res.diffs, sparse, keep, keep[1:]):
+        pos = {i: r for r, i in enumerate(rows)}
+        # dividing column c of D_k by its lead multiplies row c of D_(k+1) by it
         mat = [
-            ModuleElement(ring, len(pos), {(pos[i], e): v for (i, e), v in sparse[idx][j].items() if i in pos})
-            for j in keep[idx + 1]
+            ModuleElement(ring, len(rows), {
+                (pos[i], exp_sub(d.col_shifts[j], d.row_shifts[i])): v * leads[pos[i]] if leads else v
+                for i, v in cols[j].items() if i in pos
+            })
+            for j in live
         ]
-        levels.append(
-            {"rows": [d.row_shifts[i] for i in keep[idx]], "cols": [d.col_shifts[j] for j in keep[idx + 1]], "mat": mat}
-        )
-    while levels and not levels[-1]["mat"]:
-        levels.pop()
-    if not gens:
-        levels = []
-    if levels:
-        last = levels[-1]
-        mo = res.order.for_rank(len(last["rows"]))
-        stable = False
-        while not stable:
-            stable = True
-            for j in reversed(range(len(last["mat"]))):
-                others = last["mat"][:j] + last["mat"][j + 1 :]
-                if others and normal_form(
-                    last["mat"][j], buchberger(others, mo), mo
-                ).is_zero:
-                    last["mat"].pop(j)
-                    last["cols"].pop(j)
-                    stable = False
-    one = ring.field.one
-    leads = None
-    for lv in levels:
-        mat, mo = lv["mat"], res.order.for_rank(len(lv["rows"]))
-        if leads:  # dividing column c of D_k by its lead multiplies row c of D_(k+1) by it
-            mat = [ModuleElement(ring, w.rank, {(i, e): cf * leads[i] for (i, e), cf in w.terms}) for w in mat]
+        mo = res.order.for_rank(len(rows))
         leads = [one if w.is_zero else w.leading(mo)[1] for w in mat]
-        lv["mat"] = [w if lc == one else w.scale(one / lc) for w, lc in zip(mat, leads)]
-    diffs = [
-        GradedMatrix(ring, lv["rows"], lv["cols"], lv["mat"]) for lv in levels
-    ]
-    return Resolution(
-        ring, res.order, res.ambient_shifts, res.u_gens, gens, diffs, minimized=True
-    )
+        mat = [w if lc == one else w.scale(one / lc) for w, lc in zip(mat, leads)]
+        diffs.append(GradedMatrix(ring, [d.row_shifts[i] for i in rows], [d.col_shifts[j] for j in live], mat))
+    gens = [res.gens[j] for j in keep[0]]
+    return Resolution(ring, res.order, res.ambient_shifts, res.u_gens, gens, diffs, minimized=True)
 
 
 def betti_numbers(res):
@@ -426,13 +417,19 @@ def _verify_degree(a, dims, ranks, want):
 
 
 def verify_complex(res, box=None):
-    """Check a resolution is an exact graded complex; returns (ok, report)."""
+    """Check a resolution is an exact graded complex; returns (ok, report).
+
+    Generators, inner generators and differentials must be homogeneous.
+    Each homogeneous piece, of degree a, of a column of D0 composed with D1
+    must lie in the inner module U, that is, in the span of the coordinates
+    of U's generators of degree <= a (see graded._box_ranks); later
+    composites must vanish. Then each degree of the box is checked by ranks.
+    """
     report = []
-    ring = res.ring
-    aorder = res.order.for_rank(len(res.ambient_shifts))
+    shifts = res.ambient_shifts
     try:
-        for g in res.gens + res.u_gens:
-            element_degree(g, res.ambient_shifts)
+        _element_rows(res.gens, shifts)
+        u_rows = _element_rows(res.u_gens, shifts)
     except InputError as err:
         return False, [str(err)]
     for i, d in enumerate(res.diffs):
@@ -440,41 +437,33 @@ def verify_complex(res, box=None):
             report.append("differential %d is not homogeneous" % (i + 1))
     if report:
         return False, report
-    g_u = _inner_basis(res.u_gens, aorder)
     if res.gens and res.diffs:
-        d0 = res.gens_matrix()
-        for j, col in enumerate(d0.compose(res.diffs[0]).cols):
-            if not normal_form(col, g_u, aorder).is_zero:
-                report.append(
-                    "composite of generators with differential 1 misses the inner module in column %d"
-                    % (j + 1)
-                )
+        for j, col in enumerate(res.gens_matrix().compose(res.diffs[0]).cols):
+            pieces = {}
+            for (i, e), c in col.terms:
+                pieces.setdefault(exp_add(e, shifts[i]), {})[i] = c
+            if not all(_spans([w for b, w in u_rows if deg_leq(b, a)], vec) for a, vec in pieces.items()):
+                report.append("composite of generators with differential 1 misses the inner module in column %d" % (j + 1))
     for i in range(len(res.diffs) - 1):
         comp = res.diffs[i].compose(res.diffs[i + 1])
         if any(not c.is_zero for c in comp.cols):
             report.append("differentials %d and %d do not compose to zero" % (i + 1, i + 2))
     if report:
         return False, report
+    levels = [res.gen_degrees] + [d.col_shifts for d in res.diffs]
     if box is None:
-        degs = list(res.gen_degrees)
-        for d in res.diffs:
-            degs.extend(d.col_shifts)
-        for g in res.u_gens:
-            degs.append(element_degree(g, res.ambient_shifts))
-        degs.extend(res.ambient_shifts)
-        lo = degs[0]
-        hi = degs[0]
+        degs = [s for level in levels for s in level] + [b for b, _ in u_rows] + list(shifts)
+        lo = hi = degs[0]
         for d in degs[1:]:
             lo, hi = deg_meet(lo, d), deg_join(hi, d)
-        hi = exp_add(hi, (1,) * ring.n)
+        hi = exp_add(hi, (1,) * res.ring.n)
     else:
         lo, hi = box
     # One rank stream per level (the identity of its free module), per
     # differential and for the module, all in degrees_in_box order.
-    levels = [res.gen_degrees] + [d.col_shifts for d in res.diffs]
     streams = [_box_ranks([(s, {j: 1}) for j, s in enumerate(degs)], lo, hi) for degs in levels]
     streams += [d.degree_ranks(lo, hi) for d in res.diffs]
-    wants = graded_dimensions(res.gens, g_u, res.ambient_shifts, lo, hi)
+    wants = graded_dimensions(res.gens, res.u_gens, shifts, lo, hi)
     for a, want, *counts in zip(degrees_in_box(lo, hi), wants, *streams):
         report.extend(_verify_degree(a, counts[: len(levels)], counts[len(levels):], want))
     return not report, report

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from subquo import QQ, GradedMatrix, ModuleElement, Ring, free_resolution, parse_order
+from subquo import QQ, GradedMatrix, ModuleElement, Ring, free_resolution, homres, parse_order
 from subquo.cli import main
 from subquo.files import emit_resolution_file
 from subquo.homres import Resolution
@@ -542,6 +542,29 @@ X
 """
 
 
+# D1 is not homogeneous: X+X^2 mixes degrees, and the constant 1 sits in a
+# column of degree (1), so cancelling on it would drop both generators.
+INHOMOGENEOUS_RES = """\
+n: 1
+vars: X
+field: q
+order: grevlex X ; pot desc
+ambient: (0) (0)
+minimized: false
+U:
+D0:
+rows: (0) (0)
+cols: (0) (0)
+1 0
+0 1
+D1:
+rows: (0) (0)
+cols: (0) (1)
+1 X
+X+X^2 1
+"""
+
+
 def drop_column(res, level, j):
     """res without column j of differential `level`, nor any later column
     that uses a dropped one, so the differentials still compose to zero and
@@ -733,6 +756,13 @@ class TestResolutions:
         code, out, err = run_cli(monkeypatch, capsys, "verify", str(mini))
         assert code == 2 and "exact" not in out
 
+    @pytest.mark.parametrize("command", ["minimize", "betti"])
+    def test_inhomogeneous_differential_is_contract_violation(self, command, tmp_path, monkeypatch, capsys):
+        res = tmp_path / "inhomogeneous.res"
+        res.write_text(INHOMOGENEOUS_RES)
+        code, out, err = run_cli(monkeypatch, capsys, command, str(res))
+        assert (code, out, err) == (2, "", "Error: differential 1 is not homogeneous\n")
+
     @pytest.mark.parametrize("command", ["verify", "minimize", "betti"])
     def test_zero_generator_is_input_error(self, command, tmp_path, monkeypatch, capsys):
         res = tmp_path / "zero-gen.res"
@@ -871,7 +901,12 @@ class TestHomologyAndDiagrams:
 
     def test_homology_inner_module_must_be_homogeneous_for_p(self, tmp_path, monkeypatch, capsys):
         # D2 is homogeneous for its own rows, but under P's rows (1,0), (0,1)
-        # its column X1*X2*e4 + X1*X2*e5 has degrees (2,1) and (1,2)
+        # its column X1*X2*e4 + X1*X2*e5 has degrees (2,1) and (1,2); that is
+        # rejected before the kernel of D1 is computed
+        def never(*args):
+            raise AssertionError("kernel computed")
+
+        monkeypatch.setattr(homres, "kernel_of_free_map", never)
         path = tmp_path / "bad.cpx"
         d2 = "D2:\nrows: (0,0) (0,0) (0,0) (1,0) (1,0)\ncols: (2,1)\n0\n0\n0\nX1*X2\nX1*X2\n"
         path.write_text(C42_CPX.split("D2:")[0] + d2)

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from subquo import homres
+from subquo import groebner, homres
 from subquo.elements import ModuleElement, QQ, Ring, parse_element, parse_field
 from subquo.errors import ContractViolation, InputError
 from subquo.files import emit_resolution_file
@@ -50,6 +50,33 @@ from conftest import (
 @pytest.fixture
 def order2(ring2):
     return parse_order("grevlex X1 X2 ; pot desc", ring2, 1)
+
+
+def subquotients(st):
+    """Strategy of finite-length subquotients (v, u, order) over q and fp:32003."""
+
+    @st.composite
+    def draw_case(draw):
+        # monomials, and binomials c1*x^a*e1 + c2*x^a*e2, are homogeneous
+        field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+        n, rank = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+        ring = Ring(n, field, ("X", "Y", "Z")[:n])
+        support = st.sampled_from([(0,), (1,), (0, 1)] if rank == 2 else [(0,)])
+        coeff = st.sampled_from([1, -1, 2, -3]).map(field.from_int)
+        # U holds m^d in every component, so V/U has finite length
+        d = draw(st.sampled_from([2, 3] if n == 2 else [2]))
+
+        def element(top):
+            exp = draw(st.tuples(*[st.integers(0, top)] * n).filter(lambda e: sum(e) <= top))
+            return ModuleElement(ring, rank, {(c, exp): draw(coeff) for c in draw(support)})
+
+        power = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+        u = [ModuleElement(ring, rank, {(c, e): field.one}) for e in power for c in range(rank)]
+        u += [element(d) for _ in range(draw(st.integers(0, 2)))]
+        v = [element(d - 1) for _ in range(draw(st.integers(1, 3)))]
+        return v, u, parse_order("grevlex %s ; pot desc" % " ".join(ring.names), ring, rank)
+
+    return draw_case()
 
 
 def staircase_resolution(ring2, order2):
@@ -261,31 +288,9 @@ class TestPruneMinimize:
 
     def test_pruned_resolutions_are_minimal_and_stable(self):
         hyp = pytest.importorskip("hypothesis")
-        st = hyp.strategies
-
-        @st.composite
-        def subquotients(draw):
-            # monomials, and binomials c1*x^a*e1 + c2*x^a*e2, are homogeneous
-            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
-            n, rank = draw(st.integers(2, 3)), draw(st.integers(1, 2))
-            ring = Ring(n, field, ("X", "Y", "Z")[:n])
-            support = st.sampled_from([(0,), (1,), (0, 1)] if rank == 2 else [(0,)])
-            coeff = st.sampled_from([1, -1, 2, -3]).map(field.from_int)
-            # U holds m^d in every component, so V/U has finite length
-            d = draw(st.sampled_from([2, 3] if n == 2 else [2]))
-
-            def element(top):
-                exp = draw(st.tuples(*[st.integers(0, top)] * n).filter(lambda e: sum(e) <= top))
-                return ModuleElement(ring, rank, {(c, exp): draw(coeff) for c in draw(support)})
-
-            power = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
-            u = [ModuleElement(ring, rank, {(c, e): field.one}) for e in power for c in range(rank)]
-            u += [element(d) for _ in range(draw(st.integers(0, 2)))]
-            v = [element(d - 1) for _ in range(draw(st.integers(1, 3)))]
-            return v, u, parse_order("grevlex %s ; pot desc" % " ".join(ring.names), ring, rank)
 
         @hyp.settings(max_examples=40)
-        @hyp.given(subquotients())
+        @hyp.given(subquotients(hyp.strategies))
         def check(case):
             v, u, order = case
             res = prune_minimize(free_resolution(v, u, order))
@@ -296,6 +301,44 @@ class TestPruneMinimize:
             assert emit_resolution_file(prune_minimize(res)) == text
 
         check()
+
+    def test_truncated_pruning_keeps_the_minimal_levels(self):
+        # the last differential of a truncated resolution is pruned by the
+        # redundant-column pass alone, and must still come out minimal
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=60)
+        @hyp.given(subquotients(st), st.integers(1, 3))
+        def check(case, length):
+            v, u, order = case
+
+            def levels(res):
+                return [sorted(res.level_degrees(k)) for k in range(min(length, len(res.diffs)) + 1)]
+
+            cut = prune_minimize(free_resolution(v, u, order, length=length))
+            assert levels(cut) == levels(prune_minimize(free_resolution(v, u, order)))
+
+        check()
+
+    def test_prune_and_verify_need_no_groebner_basis(self, ring2, order2, monkeypatch):
+        # both are scalar linear algebra on fine degrees: no completion, no division
+        cut = free_resolution(els(ring2, 2, R2_V), els(ring2, 2, R2_U), order2, length=1)
+        full = staircase_resolution(ring2, order2)
+
+        def never(*args, **kwargs):
+            raise AssertionError("Groebner machinery called")
+
+        monkeypatch.setattr(homres, "buchberger", never)
+        monkeypatch.setattr(groebner, "divide", never)
+        assert len(cut.diffs[0].cols) == 5
+        pruned = prune_minimize(cut)  # nothing cancels in D1, so the pass drops the fifth column
+        assert pruned.diffs[0].col_shifts == ((3, 0), (2, 1), (1, 2), (0, 2))
+        assert full.u_gens
+        assert verify_complex(full) == (True, [])
+        short = Resolution(ring2, order2, full.ambient_shifts, full.u_gens[1:], full.gens, full.diffs)
+        ok, report = verify_complex(short)
+        assert not ok and any("misses the inner module" in msg for msg in report)
 
     def test_staircase_rank6_betti(self, ring2, order2):
         res = free_resolution(els(ring2, 6, R6_V), els(ring2, 6, R6_U), order2)
@@ -361,6 +404,12 @@ class TestVerifyComplex:
         ok, report = verify_complex(res)
         assert not ok
         assert any("homogeneous" in msg for msg in report)
+
+    def test_zero_inner_generator_is_ignored(self, ring2, order2):
+        res = prune_minimize(staircase_resolution(ring2, order2))
+        zero = ModuleElement.zero(ring2, len(res.ambient_shifts))
+        padded = Resolution(ring2, order2, res.ambient_shifts, [zero] + res.u_gens, res.gens, res.diffs)
+        assert verify_complex(padded) == (True, [])
 
     def test_detects_inhomogeneous_generators(self, ring2, order2):
         gens = els(ring2, 1, ["e1+X1*e1"])
