@@ -195,6 +195,17 @@ def _input_file(path):
     return _file_path(path)
 
 
+def _length(text):
+    """Argument type of --length: a number K >= 0 of differentials."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if k < 0:
+        raise argparse.ArgumentTypeError("length must be >= 0, got %d" % k)
+    return k
+
+
 def _file_path(path):
     """Argument type of an output file: it must not be a directory."""
     if os.path.isdir(path):
@@ -265,7 +276,7 @@ cli = Cli({
     "respres": Command(respres, "u_file v_file", _ORDER, _FIELD, _OUT),
     "resolution": Command(
         resolution, "u_file v_file",
-        (["--length"], dict(type=int, help="Number of differentials to compute.")), _ORDER, _FIELD, _OUT,
+        (["--length"], dict(type=_length, metavar="K", help="Number of differentials to compute, K >= 0.")), _ORDER, _FIELD, _OUT,
     ),
     "minimize": Command(minimize, "res_file", _FIELD, _OUT),
     "betti": Command(betti, "res_file", _FIELD),

@@ -1,11 +1,17 @@
-"""Free-injective matrices: scalar presentations of modules inside cofree covers."""
+"""Free-injective matrices: scalar presentations of modules inside cofree covers.
+
+Column j is X^beta_j times a scalar vector, and every flange S-polynomial is
+again a scalar column at one degree lam. The cofree relations X^(alpha_ik + 1)
+e_i hold the term X^lam e_r exactly when lam is not in the box lam <= alpha_r.
+So the flange commands run on {row: coefficient} vectors (_flange_pairs), and
+monomial_division is the division of a general element.
+"""
 
 from collections import deque
 
-from .elements import ModuleElement, exp_sub, format_element
+from .elements import ModuleElement, exp_sub
 from .errors import ContractViolation, InputError
-from .graded import GradedMatrix, deg_join, deg_leq, normalize_shifts
-from .groebner import _lift
+from .graded import GradedMatrix, _axpy, deg_join, deg_leq, normalize_shifts
 from .relative import relative_division
 
 
@@ -100,53 +106,78 @@ def _require_supported(mat):
         )
 
 
-def _setup(mat, order):
-    """The order on the row module, the cofree relations and the columns of mat."""
-    return order.for_rank(mat.nrows), [u for _, _, u in mat.cofree_relations()], mat.columns()
-
-
 def monomial_division(f, mat, order):
-    """Divide f by the cofree relations and then the columns of mat."""
-    order, ge, cols = _setup(mat, order)
-    return relative_division(f, ge, cols, order)
+    """Divide any element f of the row module by the cofree relations and then
+    the columns of mat, returning (remainder, quotients over the columns)."""
+    cofree = [u for _, _, u in mat.cofree_relations()]
+    return relative_division(f, cofree, mat.columns(), order.for_rank(mat.nrows))
 
 
-def _spair(name, ring, alpha, beta, rows, cols, order):
-    """S-polynomial of one flange pair as (sp, lam, sig), or None.
+def _flange_pairs(mat, order, grow=False):
+    """Build, divide and lift the flange pairs of mat on scalar columns.
 
-    name is ("cc", j1, j2) for two columns, or ("ct", i, j, k) for column j
-    against the cofree relation of row i for variable k. lam is the pair's
-    degree; sig maps (column, exponent) to coefficient for the pair's own
-    syzygy terms. Columns in different components, or zero, form no pair.
+    Yields (name, lam, rem, sig). ("cc", j1, j2) pairs two columns with the
+    same leading row, j2 outer; then ("ct", i, j, k) pairs column j with the
+    cofree relation of row i for variable k, j outer. Each S-polynomial is a
+    scalar column at one degree lam, and is divided on {row: coefficient}
+    vectors exactly as divide(sp, cofree + columns, order) would divide it:
+    - every term of sp and of each X^(lam - beta_j) * column j has exponent
+      lam, so the module order ranks terms by row alone (the comp_rank of
+      order.for_rank(nrows), under POT and TOP alike);
+    - the cofree relations come first among the divisors, and some relation
+      of row r divides the leading term (r, lam) exactly when lam is not
+      <= alpha_r; that step only removes the entry;
+    - otherwise the first column with leading row r and beta_j <= lam
+      reduces it, the divisor divide would choose.
+    So rem, the remainder {row: coefficient}, and sig, which maps column j
+    to the coefficient of X^(lam - beta_j) in the pair's syzygy (its own
+    terms minus the column quotients), are those of the general division.
+    With grow, column pairs come j1 outer, and each nonzero remainder is
+    appended as the column X^lam * rem, whose pairs are queued next.
     """
-    one = ring.field.one
-    if name[0] == "cc":
-        _, j1, j2 = name
-        if cols[j1].is_zero or cols[j2].is_zero:
-            return None
-        (m1, c1), (m2, c2) = cols[j1].leading(order), cols[j2].leading(order)
-        if m1[0] != m2[0]:
-            return None
-        lam = deg_join(beta[j1], beta[j2])
-        d1, d2, ratio = exp_sub(lam, beta[j1]), exp_sub(lam, beta[j2]), c1 / c2
-        sp = cols[j1].mul_term(one, d1) - cols[j2].mul_term(ratio, d2)
-        return sp, lam, {(j1, d1): one, (j2, d2): -ratio}
-    _, i, j, k = name
-    lam = deg_join(beta[j], tuple(alpha[i][k] + 1 if v == k else 0 for v in range(ring.n)))
-    terms = {(i2, lam): row[j] for i2, row in enumerate(rows) if i2 != i and row[j]}
-    return ModuleElement(ring, len(alpha), terms), lam, {(j, exp_sub(lam, beta[j])): one}
-
-
-def _scalar_column(p, nrows, field):
-    """Read a remainder as (degree, coefficient vector), or raise."""
-    exps = {e for (_, e), _ in p.terms}
-    if len(exps) != 1:
-        raise ContractViolation("remainder %s is not a scalar column" % format_element(p))
-    lam = exps.pop()
-    col = [field.zero] * nrows
-    for (i, _), c in p.terms:
-        col[i] = c
-    return lam, col
+    alpha, s, n, one = mat.alpha, mat.nrows, mat.ring.n, mat.ring.field.one
+    rank = order.for_rank(s).comp_rank
+    beta = list(mat.beta)
+    cols = [{i: row[j] for i, row in enumerate(mat.entries) if row[j]} for j in range(mat.ncols)]
+    leads = [max(v, key=rank.__getitem__) if v else None for v in cols]
+    pairs = [(a, b) for b in range(len(cols)) for a in range(b)]
+    queue = deque(("cc", a, b) for a, b in (sorted(pairs) if grow else pairs))
+    queue.extend(("ct", i, j, k) for j in range(len(cols)) for i in range(s) for k in range(n))
+    while queue:
+        name = queue.popleft()
+        if name[0] == "cc":
+            _, j1, j2 = name
+            if leads[j1] is None or leads[j1] != leads[j2]:
+                continue
+            lam = deg_join(beta[j1], beta[j2])
+            ratio = cols[j1][leads[j1]] / cols[j2][leads[j2]]
+            vec, sig = dict(cols[j1]), {j1: one, j2: -ratio}
+            _axpy(vec, -ratio, cols[j2])
+        else:
+            _, i, j, k = name
+            lam = deg_join(beta[j], tuple(alpha[i][k] + 1 if v == k else 0 for v in range(n)))
+            vec, sig = {r: c for r, c in cols[j].items() if r != i}, {j: one}
+        rem = {}
+        while vec:
+            r = max(vec, key=rank.__getitem__)
+            if not deg_leq(lam, alpha[r]):
+                del vec[r]
+                continue
+            d = next((d for d, ld in enumerate(leads) if ld == r and deg_leq(beta[d], lam)), None)
+            if d is None:
+                rem[r] = vec.pop(r)
+                continue
+            q = vec[r] / cols[d][r]
+            _axpy(vec, -q, cols[d])
+            sig[d] = sig[d] - q if d in sig else -q
+        if grow and rem:
+            new = len(cols)
+            beta.append(lam)
+            cols.append(rem)
+            leads.append(max(rem, key=rank.__getitem__))
+            queue.extend(("cc", d, new) for d in range(new))
+            queue.extend(("ct", i, new, k) for i in range(s) for k in range(n))
+        yield name, lam, rem, sig
 
 
 def buchberger_flange(mat, order):
@@ -156,56 +187,18 @@ def buchberger_flange(mat, order):
     input columns are preserved as a prefix.
     """
     _require_supported(mat)
-    ring, field = mat.ring, mat.ring.field
-    order, ge, cols = _setup(mat, order)
-    rows = [list(r) for r in mat.entries]
-    beta = list(mat.beta)
-    s, n = mat.nrows, ring.n
-
-    def triples_for(j):
-        return [("ct", i, j, k) for i in range(s) for k in range(n)]
-
-    queue = deque(
-        ("cc", j1, j2)
-        for j1, j2 in sorted((a, b) for b in range(len(beta)) for a in range(b))
-    )
-    for j in range(len(beta)):
-        queue.extend(triples_for(j))
-    while queue:
-        got = _spair(queue.popleft(), ring, mat.alpha, beta, rows, cols, order)
-        if got is None or got[0].is_zero:
-            continue
-        p, _ = relative_division(got[0], ge, cols, order)
-        if p.is_zero:
-            continue
-        lam, vec = _scalar_column(p, s, field)
-        for i in range(s):
-            rows[i].append(vec[i])
-        beta.append(lam)
-        cols.append(p)
-        new = len(beta) - 1
-        queue.extend(("cc", j, new) for j in range(new))
-        queue.extend(triples_for(new))
-    return FreeInjectiveMatrix(ring, mat.alpha, beta, rows)
-
-
-def _flange_pairs(mat, cols, order):
-    """Flange S-pairs of mat in checking order, as (name, sp, lam, sig).
-
-    Column pairs come first, j2 outer; then each column j against the cofree
-    relations, j outer, then row i and variable k. See _spair.
-    """
-    names = [("cc", j1, j2) for j2 in range(mat.ncols) for j1 in range(j2)]
-    for j in range(mat.ncols):
-        names += [("ct", i, j, k) for i in range(mat.nrows) for k in range(mat.ring.n)]
-    for name in names:
-        got = _spair(name, mat.ring, mat.alpha, mat.beta, mat.entries, cols, order)
-        if got is not None:
-            yield (name,) + got
+    zero = mat.ring.field.zero
+    beta, rows = list(mat.beta), [list(row) for row in mat.entries]
+    for _, lam, rem, _ in _flange_pairs(mat, order, grow=True):
+        if rem:
+            beta.append(lam)
+            for i, row in enumerate(rows):
+                row.append(rem.get(i, zero))
+    return FreeInjectiveMatrix(mat.ring, mat.alpha, beta, rows)
 
 
 def _witness(name, ring):
-    """Describe a flange S-pair named as in _spair."""
+    """Describe a flange pair named as in _flange_pairs."""
     if name[0] == "cc":
         return "S-polynomial of columns %d and %d" % (name[1] + 1, name[2] + 1)
     _, i, j, k = name
@@ -216,9 +209,8 @@ def _witness(name, ring):
 def is_groebner_form(mat, order):
     """Check all flange S-polynomials reduce to zero; returns (ok, witness)."""
     _require_supported(mat)
-    order, ge, cols = _setup(mat, order)
-    for name, sp, _, _ in _flange_pairs(mat, cols, order):
-        if not sp.is_zero and not relative_division(sp, ge, cols, order)[0].is_zero:
+    for name, _, rem, _ in _flange_pairs(mat, order):
+        if rem:
             return False, _witness(name, mat.ring)
     return True, None
 
@@ -234,15 +226,12 @@ def free_presentation(mat, order):
     """
     _require_supported(mat)
     ring = mat.ring
-    order, ge, cols = _setup(mat, order)
     lifted = {}
-    for name, sp, lam, sig in _flange_pairs(mat, cols, order):
-        sig = _lift(
-            sig, mat.ncols, sp, ge + cols, order,
-            lambda: "matrix is not in Groebner form: %s" % _witness(name, ring),
-            skip=len(ge),
-        )
-        lifted[name] = sig, lam
+    for name, lam, rem, sig in _flange_pairs(mat, order):
+        if rem:
+            raise ContractViolation("matrix is not in Groebner form: %s" % _witness(name, ring))
+        terms = {(j, exp_sub(lam, mat.beta[j])): c for j, c in sig.items()}
+        lifted[name] = ModuleElement(ring, mat.ncols, terms), lam
     names = [nm for nm in lifted if nm[0] == "cc"] + sorted(nm for nm in lifted if nm[0] == "ct")
     out, out_deg, seen = [], [], set()
     for nm in names:

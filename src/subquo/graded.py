@@ -2,7 +2,7 @@
 
 from itertools import product
 
-from .elements import ModuleElement, exp_add
+from .elements import ModuleElement, exp_add, exp_divides, exp_lcm
 from .errors import ContractViolation, InputError
 
 
@@ -25,19 +25,14 @@ def format_degree(a):
     return "(%s)" % ",".join(str(x) for x in a)
 
 
-def deg_join(a, b):
-    """Componentwise maximum."""
-    return tuple(max(x, y) for x, y in zip(a, b))
+# A degree a is <= b exactly when X^a divides X^b, and the join of two
+# degrees is the exponent of the lcm of their monomials.
+deg_leq, deg_join = exp_divides, exp_lcm
 
 
 def deg_meet(a, b):
     """Componentwise minimum."""
     return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def deg_leq(a, b):
-    """Componentwise comparison a <= b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 def element_degree(f, shifts=None):

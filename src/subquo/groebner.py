@@ -239,31 +239,12 @@ def is_groebner(G, order):
     return True
 
 
-def _lift(sig, rank, sp, basis, order, witness, skip=0):
-    """Syzygy of one S-pair: its own terms minus the quotients of sp.
-
-    sig maps (component, exponent) to coefficient in R^rank and is updated in
-    place. Quotient k of sp over basis lands in component k - skip; quotients
-    outside components 0..rank-1 are dropped. A nonzero remainder raises
-    ContractViolation with the message witness().
-    """
-    if not sp.is_zero:
-        quots, rem = divide(sp, basis, order)
-        if not rem.is_zero:
-            raise ContractViolation(witness())
-        for k in range(skip, min(len(basis), skip + rank)):
-            for (_, e), c in quots[k].terms:
-                prev = sig.get((k - skip, e))
-                sig[(k - skip, e)] = -c if prev is None else prev - c
-    return ModuleElement(sp.ring, rank, sig)
-
-
 def _schreyer(h, g_u, order, what):
     """Schreyer syzygies of h relative to g_u, with their Schreyer order.
 
     Every S-pair of full = h + g_u is divided over full once. A pair with an
-    element of h is lifted into a syzygy projected onto R^len(h); zero
-    projections are dropped. A pair inside g_u is only checked. A pair that
+    element of h is lifted into a syzygy, its own terms minus the quotients,
+    projected onto R^len(h); zero projections are dropped. A pair inside g_u is only checked. A pair that
     does not reduce to zero raises ContractViolation saying the input is
     `what`, with elements numbered over h, then g_u.
     """
@@ -282,11 +263,18 @@ def _schreyer(h, g_u, order, what):
             sig = {(i, ti[1]): ti[0]} if i < t else {}
             if j < t:
                 sig[(j, tj[1])] = -tj[0]
-            sig = _lift(
-                sig, t, sp, full, order,
-                lambda: "input is %s: S-polynomial of elements %d and %d does not reduce to zero"
-                % (what, i + 1, j + 1),
-            )
+            if not sp.is_zero:
+                quots, rem = divide(sp, full, order)
+                if not rem.is_zero:
+                    raise ContractViolation(
+                        "input is %s: S-polynomial of elements %d and %d does not reduce to zero"
+                        % (what, i + 1, j + 1)
+                    )
+                for k in range(t):
+                    for (_, e), c in quots[k].terms:
+                        prev = sig.get((k, e))
+                        sig[(k, e)] = -c if prev is None else prev - c
+            sig = ModuleElement(sp.ring, t, sig)
             if i < t and not sig.is_zero:
                 recs.append((i, j, sig))
     recs.sort(key=lambda rec: (rec[0], sord.key(rec[2].leading(sord)[0]), rec[1]))

@@ -1,5 +1,7 @@
 """End-to-end tests for the subquo command line."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -1084,6 +1086,18 @@ class TestUsageContract:
         assert (code, out) == (1, "")
         assert "Error:" in err
 
+    def test_negative_length_is_usage_error(self, files, monkeypatch, capsys):
+        # free_resolution would run no loop and print a D0-only resolution
+        import subquo.cli
+
+        def never(path):
+            raise AssertionError("input read before the arguments were checked")
+
+        monkeypatch.setattr(subquo.cli, "_read", never)
+        code, out, err = run_cli(monkeypatch, capsys, "resolution", files["u2.mod"], files["v2.mod"], "--length", "-1")
+        assert (code, out) == (1, "")
+        assert "Error: argument --length: length must be >= 0, got -1" in err
+
     @pytest.mark.parametrize(
         "command, options",
         [
@@ -1128,6 +1142,24 @@ class TestTracerContract:
         assert seen == [
             {"module_file": files["u5.mod"], "order_text": None, "field_text": "fp:7", "output": None}
         ]
+
+    def test_traced_names_resolve(self):
+        # the benchmark's tracer wraps these by name, from outside src/
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "perfbench", "layers.py")) as fh:
+            tree = ast.parse(fh.read())
+        spans = next(
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SPANS"
+        )
+        names = [(mod, name) for mod, fns in spans.items() for name in fns] + [("homres", "_verify_degree")]
+        assert len(names) > 20
+        for mod, name in names:
+            obj = importlib.import_module("subquo." + mod)
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            assert callable(obj), "subquo.%s.%s" % (mod, name)
 
 
 def test_cli_does_not_import_click():

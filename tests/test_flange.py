@@ -1,8 +1,11 @@
 """Tests for free-injective matrices and their Groebner-form calculus."""
 
+import hashlib
+
 import pytest
 
-from subquo.elements import QQ, parse_element
+from subquo import flange, groebner
+from subquo.elements import QQ, ModuleElement, Ring, parse_element, parse_field
 from subquo.errors import ContractViolation, InputError
 from subquo.flange import (
     FreeInjectiveMatrix,
@@ -13,6 +16,7 @@ from subquo.flange import (
     matlis_transpose,
     monomial_division,
 )
+from subquo.groebner import normal_form, s_polynomial
 from subquo.orders import parse_order
 
 from conftest import fim_big, fim_small, fim_small_completed, fmts, qgrid
@@ -175,3 +179,91 @@ class TestMonomialDivision:
         f = parse_element("X1^2*X2^2*e1", ring2, 2)
         rem, _ = monomial_division(f, done, order)
         assert rem.is_zero
+
+
+def _reference_groebner_form(mat, order):
+    """Buchberger's criterion on the cofree relations and the columns, by
+    general division: every column/column and column/relation S-polynomial
+    has zero remainder under monomial_division."""
+    order = order.for_rank(mat.nrows)
+    cols = [c for c in mat.columns() if not c.is_zero]
+    rels = [u for _, _, u in mat.cofree_relations()]
+    pairs = [(f, g) for b, g in enumerate(cols) for f in cols[:b]] + [(f, u) for f in cols for u in rels]
+    return all(monomial_division(s_polynomial(f, g, order), mat, order)[0].is_zero for f, g in pairs)
+
+
+class TestScalarColumns:
+    def test_flange_layer_against_general_division(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 3))
+            ring = Ring(n, parse_field(draw(st.sampled_from(["q", "fp:32003"]))))
+            deg = st.tuples(*[st.integers(0, 2)] * n)
+            alpha = draw(st.lists(deg, min_size=1, max_size=4))
+            beta = draw(st.lists(deg, min_size=1, max_size=4))
+            entry = st.integers(-2, 2).map(ring.field.from_int)
+            rows = [draw(st.lists(entry, min_size=len(beta), max_size=len(beta))) for _ in alpha]
+            mat = fi_normalize(FreeInjectiveMatrix(ring, alpha, beta, rows))
+            comps = draw(st.sampled_from(["asc", "desc", "permutation"]))
+            if comps == "permutation":
+                comps = " ".join(str(c + 1) for c in draw(st.permutations(range(len(alpha)))))
+            spec = "%s ; %s %s" % (
+                draw(st.sampled_from(["lex", "grlex", "grevlex"])), draw(st.sampled_from(["pot", "top"])), comps
+            )
+            return mat, parse_order(spec, ring, len(alpha))
+
+        def fixed(n, field, alpha, beta, ints, spec):
+            ring = Ring(n, parse_field(field))
+            mat = FreeInjectiveMatrix(ring, alpha, beta, qgrid(ring.field, ints))
+            return mat, parse_order(spec, ring, len(alpha))
+
+        # Random draws rarely need the pairs of an appended column; these two
+        # completions are wrong without its column pairs, or its cofree pairs.
+        @hyp.settings(max_examples=60)
+        @hyp.example(fixed(1, "fp:32003", [(0,), (2,), (2,)], [(0,), (2,)], [[-1, 0], [-1, -1], [-1, 0]], "grlex ; pot desc"))
+        @hyp.example(fixed(2, "q", [(2, 1), (2, 0), (0, 2)], [(0, 0)], [[-1], [2], [-1]], "lex ; pot asc"))
+        @hyp.given(cases())
+        def check(case):
+            mat, order = case
+            assert is_groebner_form(mat, order)[0] == _reference_groebner_form(mat, order)
+            done = buchberger_flange(mat, order)
+            assert done.alpha == mat.alpha and done.beta[: mat.ncols] == mat.beta
+            assert all(done.entries[i][: mat.ncols] == mat.entries[i] for i in range(mat.nrows))
+            assert is_groebner_form(done, order) == (True, None)
+            assert _reference_groebner_form(done, order)
+            cols, rels = done.columns(), [u for _, _, u in done.cofree_relations()]
+            rorder = order.for_rank(done.nrows)
+            for sigma in free_presentation(done, order).cols:
+                image = ModuleElement.zero(done.ring, done.nrows)
+                for (j, e), c in sigma.terms:
+                    image = image + cols[j].mul_term(c, e)
+                assert normal_form(image, rels, rorder).is_zero
+
+        check()
+
+    def test_flange_layer_needs_no_general_division(self, ring2, order, monkeypatch):
+        # every flange pair is a scalar column at one degree: no module division
+        def never(*args, **kwargs):
+            raise AssertionError("general division called")
+
+        monkeypatch.setattr(groebner, "divide", never)
+        monkeypatch.setattr(flange, "relative_division", never)
+        assert buchberger_flange(fim_small(ring2), order) == fim_small_completed(ring2)
+        assert is_groebner_form(fim_small(ring2), order) == (False, "S-polynomial of columns 1 and 2")
+        pres = free_presentation(fim_small_completed(ring2), order)
+        assert pres.col_shifts == ((1, 1), (1, 2), (2, 1), (0, 2), (2, 1), (1, 2), (3, 0), (3, 1), (3, 1))
+        assert [fmts([pres.entry(i, j) for j in range(pres.ncols)]) for i in range(pres.nrows)] == [
+            ["X2", "X2^2", "-X1*X2", "0", "0", "0", "X1^2", "0", "0"],
+            ["-X1", "0", "X1^2", "X2", "0", "0", "0", "X1^3", "0"],
+            ["-1", "0", "0", "0", "X1", "X2", "0", "0", "X1^2"],
+        ]
+        big = buchberger_flange(fim_big(ring2), order)
+        assert big.beta == fim_big(ring2).beta + ((1, 1),)
+        assert [big.entries[i][6] for i in range(6)] == [QQ.from_int(v) for v in [0, 0, 0, 1, -1, 0]]
+        assert is_groebner_form(big, order) == (True, None)
+        pres = free_presentation(big, order)  # frozen digest of its shifts and entries
+        grid = [fmts([pres.entry(i, j) for j in range(pres.ncols)]) for i in range(pres.nrows)]
+        assert (pres.ncols, hashlib.sha256(repr((pres.col_shifts, grid)).encode()).hexdigest()[:16]) == (39, "509bf17fc60a3704")
