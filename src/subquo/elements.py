@@ -1,10 +1,15 @@
 """Coefficient fields, polynomial rings and exact module elements."""
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
 
 _BASIS_PREFIX = "e"
+# a basis vector name: the prefix and a run of decimal digits
+_BASIS = re.compile(_BASIS_PREFIX + r"\d+")
+# one element-grammar token; whitespace between tokens is skipped
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>\w+)|(?P<op>[-+*/^])|(?P<bad>\S)")
 
 
 def _is_prime(p):
@@ -162,7 +167,7 @@ class Ring:
         for nm in names:
             if not nm or not nm[0].isalpha() or not nm.replace("_", "").isalnum():
                 raise InputError("bad variable name %r" % nm)
-            if nm[0] == _BASIS_PREFIX and nm[1:].isdigit():
+            if _BASIS.fullmatch(nm):
                 raise InputError("variable name %r collides with basis vector syntax" % nm)
         self.n = n
         self.field = field
@@ -336,123 +341,86 @@ class ModuleElement:
         return "<%s>" % format_element(self)
 
 
-class _Tokens:
-    """Tokenizer for the element grammar with position tracking."""
-
-    __slots__ = ("text", "pos", "toks")
-
-    def __init__(self, text):
-        self.text = text
-        self.toks = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j], i))
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j], i))
-                i = j
-            elif ch in "+-*/^":
-                self.toks.append((ch, ch, i))
-                i += 1
-            else:
-                raise InputError("parse error at position %d: unexpected %r" % (i, ch))
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, len(self.text))
-
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
+def _tokens(text):
+    """Token list [(kind, text, pos)] of the element grammar, ending in
+    (None, None, len(text)). An operator's kind is itself; a number is a run
+    of decimal digits, the digits int() reads; a name starts with a letter."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind, val, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad" or kind == "name" and not val[0].isalpha():
+            raise InputError("parse error at position %d: unexpected %r" % (pos, val[0]))
+        toks.append((val if kind == "op" else kind, val, pos))
+    toks.append((None, None, len(text)))
+    return toks
 
 
-def _parse_term(tk, ring, sign):
-    """Parse one term, returning (comp_or_None, exp, coeff)."""
+def _parse_term(toks, i, ring):
+    """Parse the term at toks[i], returning (next i, comp_or_None, exp, coeff)."""
     field = ring.field
-    coeff = None
+    coeff = field.one
     exp = [0] * ring.n
     comp = None
-    saw_factor = False
-    kind, val, pos = tk.peek()
+    kind, val, _ = toks[i]
     if kind == "int":
-        tk.next()
-        num = int(val)
         den = 1
-        if tk.peek()[0] == "/":
-            tk.next()
-            k2, v2, p2 = tk.next()
+        if toks[i + 1][0] == "/":
+            k2, v2, p2 = toks[i + 2]
             if k2 != "int":
                 raise InputError("parse error at position %d: expected denominator" % p2)
             den = int(v2)
-        coeff = field.from_fraction(num, den)
-        if tk.peek()[0] != "*":
-            return comp, tuple(exp), (-coeff if sign < 0 else coeff)
-        tk.next()
+            i += 2
+        coeff = field.from_fraction(int(val), den)
+        i += 1
+        if toks[i][0] != "*":
+            return i, comp, tuple(exp), coeff
+        i += 1
     while True:
-        kind, val, pos = tk.next()
+        kind, val, pos = toks[i]
         if kind != "name":
             raise InputError("parse error at position %d: expected a variable or basis factor" % pos)
-        if val[0] == _BASIS_PREFIX and val[1:].isdigit():
+        i += 1
+        if _BASIS.fullmatch(val):
             if comp is not None:
                 raise InputError("parse error at position %d: duplicate basis factor" % pos)
             idx = int(val[1:])
             if idx < 1:
                 raise InputError("parse error at position %d: basis index must be >= 1" % pos)
-            if tk.peek()[0] == "^":
-                raise InputError("parse error at position %d: basis vectors take no exponent" % tk.peek()[2])
+            if toks[i][0] == "^":
+                raise InputError("parse error at position %d: basis vectors take no exponent" % toks[i][2])
             comp = idx - 1
         else:
-            v = ring.var_index(val) if val in ring._index else None
+            v = ring._index.get(val)
             if v is None:
                 raise InputError("parse error at position %d: unknown variable %r" % (pos, val))
             e = 1
-            if tk.peek()[0] == "^":
-                tk.next()
-                k2, v2, p2 = tk.next()
+            if toks[i][0] == "^":
+                k2, v2, p2 = toks[i + 1]
                 if k2 != "int":
                     raise InputError("parse error at position %d: expected exponent" % p2)
                 e = int(v2)
+                i += 2
             exp[v] += e
-        saw_factor = True
-        if tk.peek()[0] == "*":
-            tk.next()
-            continue
-        break
-    if not saw_factor and coeff is None:
-        raise InputError("parse error at position %d: empty term" % pos)
-    if coeff is None:
-        coeff = field.one
-    return comp, tuple(exp), (-coeff if sign < 0 else coeff)
+        if toks[i][0] != "*":
+            return i, comp, tuple(exp), coeff
+        i += 1
 
 
 def parse_element(text, ring, rank=None):
     """Parse an element of R^rank from the textual grammar."""
-    stripped = text.strip()
-    if stripped == "0":
+    if text.strip() == "0":
         return ModuleElement.zero(ring, rank if rank is not None else 1)
-    tk = _Tokens(text)
-    if tk.peek()[0] is None:
+    toks = _tokens(text)
+    if toks[0][0] is None:
         raise InputError("parse error at position 0: empty input")
     raw = []
-    sign = 1
-    if tk.peek()[0] == "-":
-        tk.next()
-        sign = -1
+    i, sign = 0, 1
+    if toks[0][0] == "-":
+        i, sign = 1, -1
     while True:
-        raw.append(_parse_term(tk, ring, sign))
-        kind, _, pos = tk.peek()
+        i, comp, exp, coeff = _parse_term(toks, i, ring)
+        raw.append((comp, exp, -coeff if sign < 0 else coeff))
+        kind, _, pos = toks[i]
         if kind is None:
             break
         if kind == "+":
@@ -461,7 +429,7 @@ def parse_element(text, ring, rank=None):
             sign = -1
         else:
             raise InputError("parse error at position %d: expected '+' or '-'" % pos)
-        tk.next()
+        i += 1
     max_comp = max((c for c, _, _ in raw if c is not None), default=None)
     if rank is None:
         rank = 1 if max_comp is None else max_comp + 1

@@ -84,10 +84,10 @@ def _parse_degree_list(value, n, what):
 
 
 def _parse_scalar(tok, field):
-    """Field scalar written as an integer or a fraction a/b."""
+    """Field scalar [-]digits[/digits], the digits decimal as int() reads them."""
     body = tok[1:] if tok.startswith("-") else tok
-    num, _, den = body.partition("/")
-    if not num.isdigit() or (den and not den.isdigit()):
+    num, slash, den = body.partition("/")
+    if not num.isdecimal() or (slash and not den.isdecimal()):
         raise InputError("bad scalar entry %r" % tok)
     c = field.from_fraction(int(num), int(den) if den else 1)
     return -c if tok.startswith("-") else c

@@ -122,6 +122,8 @@ def homology_presentation(d1, p, d2, order):
 
 def free_resolution(v_gens, u_gens, order, shifts=None, length=None):
     """Resolution of the subquotient spanned by v_gens over the inner submodule."""
+    if length is not None and length < 0:
+        raise InputError("length must be >= 0, got %d" % length)
     pool = [g for g in list(v_gens) + list(u_gens) if not g.is_zero]
     if not pool:
         raise InputError("no nonzero generators given")

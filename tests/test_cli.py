@@ -1164,3 +1164,20 @@ class TestTracerContract:
 
 def test_cli_does_not_import_click():
     assert _fresh_import("import subquo.cli, sys; print('click' in sys.modules)") == "False\n"
+
+
+class TestNonDecimalDigits:
+    # '²' is a digit to str.isdigit() but int() cannot read it
+    def test_gb_rejects_superscript_exponent(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "sup.mod"
+        bad.write_text(U5_MOD.replace("X^5*e1", "X^²*e1"))
+        code, out, err = run_cli(monkeypatch, capsys, "gb", str(bad))
+        assert (code, out) == (1, "")
+        assert err == "Error: parse error at position 2: unexpected '²'\n"
+
+    def test_flange_gb_rejects_superscript_entry(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "sup.fim"
+        bad.write_text(ATILDE_FIM.replace("1 1\n", "1 ²\n"))
+        code, out, err = run_cli(monkeypatch, capsys, "flange-gb", str(bad))
+        assert (code, out) == (1, "")
+        assert err == "Error: bad scalar entry '²'\n"

@@ -233,3 +233,79 @@ class TestParseFormat:
     def test_rank_one_formats_without_basis_suffix(self, ring_xy):
         assert fmts(els(ring_xy, 1, ["X*e1"])) == ["X"]
         assert fmts(els(ring_xy, 2, ["X*e1"])) == ["X*e1"]
+
+
+class TestParserContract:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("X+(", "parse error at position 2: unexpected '('"),
+            ("1/X", "parse error at position 2: expected denominator"),
+            ("*X", "parse error at position 0: expected a variable or basis factor"),
+            ("X*e1*e2", "parse error at position 5: duplicate basis factor"),
+            ("e0", "parse error at position 0: basis index must be >= 1"),
+            ("e1^2", "parse error at position 2: basis vectors take no exponent"),
+            ("Z", "parse error at position 0: unknown variable 'Z'"),
+            ("X^Y", "parse error at position 2: expected exponent"),
+            ("X Y", "parse error at position 2: expected '+' or '-'"),
+            ("  ", "parse error at position 0: empty input"),
+            ("X*e3", "basis index e3 exceeds rank 2"),
+        ],
+    )
+    def test_error_messages_frozen(self, text, message, ring_xy):
+        with pytest.raises(InputError) as exc:
+            parse_element(text, ring_xy, 2)
+        assert str(exc.value) == message
+
+    def test_arbitrary_text_raises_only_input_errors(self, ring_xy):
+        # '²' is a digit to str.isdigit() but not to int(); '٣' is a
+        # decimal digit int() reads; 'é' is a letter but no variable
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=400)
+        @hyp.given(st.text("0123456789XYe+-*/^ \t\n_²٣é", max_size=12), st.sampled_from([None, 1, 2]))
+        @hyp.example("X^²", 1)
+        @hyp.example("²*X", None)
+        @hyp.example("e²", None)
+        def check(text, rank):
+            try:
+                parse_element(text, ring_xy, rank)
+            except InputError:
+                pass
+
+        check()
+
+    def test_format_parse_round_trip(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def cases(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            n, rank = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            names = ("X", "é", "y_2")[:n]
+            ring = Ring(n, field, names)
+            exp = st.tuples(*[st.integers(0, 3)] * n)
+            coeff = st.tuples(st.integers(-40, 40), st.integers(1, 9)).map(lambda c: field.from_fraction(*c))
+            terms = draw(st.dictionaries(st.tuples(st.integers(0, rank - 1), exp), coeff, max_size=5))
+            base = draw(st.sampled_from(["lex", "grlex", "grevlex"]))
+            pos = draw(st.sampled_from(["pot asc", "pot desc", "top asc", "top desc"]))
+            order = parse_order("%s %s ; %s" % (base, " ".join(names), pos), ring, rank)
+            return ModuleElement(ring, rank, terms), order
+
+        @hyp.settings(max_examples=200)
+        @hyp.given(cases())
+        def check(case):
+            e, order = case
+            assert parse_element(format_element(e, order), e.ring, e.rank) == e
+
+        check()
+
+    def test_basis_names_are_decimal(self):
+        # the ring's collision check and the parser agree on what eK is
+        with pytest.raises(InputError, match="collides with basis vector syntax"):
+            Ring(1, QQ, ("e١",))
+        assert parse_element("e١", Ring(1, QQ, ("X",))).rank == 1
+        ring = Ring(1, QQ, ("e²",))
+        assert parse_element("2*e²^3", ring) == ModuleElement(ring, 1, {(0, (3,)): QQ.from_int(2)})

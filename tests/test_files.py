@@ -289,3 +289,11 @@ class TestModulePairFile:
         assert "V:" in lines and "U:" in lines
         assert lines[lines.index("V:") + 1] == "X1*e1"
         assert lines[lines.index("U:") + 1] == "X1^3*e1"
+
+
+class TestScalarEntries:
+    @pytest.mark.parametrize("entry", ["3/", "-3/"])
+    def test_missing_denominator_rejected(self, entry, ring2):
+        text = emit_fim_file(fim_small(ring2)).replace("1 0", entry + " 0", 1)
+        with pytest.raises(InputError, match="bad scalar entry '%s'" % entry):
+            parse_fim_file(text)

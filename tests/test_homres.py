@@ -583,3 +583,15 @@ class TestDiagramOracle:
             assert {a: got.count(a) for a in box} == new
 
         check()
+
+
+class TestResolutionLength:
+    @pytest.mark.parametrize("length", [-1, -3])
+    def test_negative_length_rejected_first(self, length, ring2, order2, monkeypatch):
+        def never(*args):
+            raise AssertionError("Groebner work started")
+
+        monkeypatch.setattr(homres, "_graded_inner_basis", never)
+        monkeypatch.setattr(homres, "relative_buchberger", never)
+        with pytest.raises(InputError, match="length must be >= 0, got %d" % length):
+            free_resolution(els(ring2, 2, R2_V), els(ring2, 2, R2_U), order2, length=length)
