@@ -2,38 +2,63 @@
 
 import heapq
 
-from .elements import ModuleElement, exp_add, exp_divides, exp_lcm, exp_sub, mon_divides
+from .elements import ModuleElement, exp_add, exp_divides, exp_lcm, exp_sub
 from .errors import ContractViolation
 from .orders import SchreyerOrder
+
+
+def _index(leads):
+    """Divisor index of a basis from its leading terms ((comp, exp), coeff),
+    None for a zero element: {comp: [(exp, coeff, i), ...]} in basis order,
+    zero elements left out."""
+    index = {}
+    for i, ld in enumerate(leads):
+        if ld is not None:
+            (c, e), lc = ld
+            index.setdefault(c, []).append((e, lc, i))
+    return index
+
+
+def _divide(f, basis, order, index):
+    """Divide f by basis through its divisor index (see _index).
+
+    Each step reduces the leading term of what is left by the first element,
+    in basis order, of the term's component whose leading monomial divides
+    it, or moves that term to the remainder. Returns (quotients, remainder)
+    with sparse quotients {i: {(0, exp): coeff}} for the elements used only.
+    Leading terms strictly fall, so a quotient never gets the same exponent
+    twice.
+    """
+    quots = {}
+    rem = {}
+    work = f
+    while not work.is_zero:
+        mon, coeff = work.leading(order)
+        comp, exp = mon
+        for ld, lc, i in index.get(comp, ()):
+            if exp_divides(ld, exp):
+                c, e = coeff / lc, exp_sub(exp, ld)
+                quots.setdefault(i, {})[(0, e)] = c
+                work = work - basis[i].mul_term(c, e)
+                break
+        else:
+            rem[mon] = coeff
+            work = work - ModuleElement(f.ring, f.rank, {mon: coeff})
+    return quots, ModuleElement(f.ring, f.rank, rem)
 
 
 def divide(f, basis, order):
     """Divide f by a list of elements, returning (quotients, remainder).
 
-    Each step reduces the leading term of what is left by the first element
-    whose leading monomial divides it, or moves that term to the remainder;
-    zero elements are skipped. Leading terms strictly fall, so a quotient
-    never gets the same exponent twice and is built once at the end.
+    Builds the divisor index of the list and runs _divide: each leading term
+    is reduced by the first element in list order whose leading monomial
+    divides it, zero elements are skipped, and quotients[i] is the quotient
+    of basis[i] (zero for the elements never used).
     """
-    ring, rank = f.ring, f.rank
     leads = [None if g.is_zero else g.leading(order) for g in basis]
-    qterms = [{} for _ in basis]
-    rem = {}
-    work = f
-    while not work.is_zero:
-        mon, coeff = work.leading(order)
-        for i, ld in enumerate(leads):
-            if ld is not None and mon_divides(ld[0], mon):
-                c, e = coeff / ld[1], exp_sub(mon[1], ld[0][1])
-                qterms[i][(0, e)] = c
-                work = work - basis[i].mul_term(c, e)
-                break
-        else:
-            rem[mon] = coeff
-            work = work - ModuleElement(ring, rank, {mon: coeff})
-    zero = ModuleElement.zero(ring, 1)
-    quots = [ModuleElement(ring, 1, q) if q else zero for q in qterms]
-    return quots, ModuleElement(ring, rank, rem)
+    quots, rem = _divide(f, basis, order, _index(leads))
+    zero = ModuleElement.zero(f.ring, 1)
+    return [ModuleElement(f.ring, 1, quots[i]) if i in quots else zero for i in range(len(basis))], rem
 
 
 def normal_form(f, basis, order):
@@ -66,6 +91,7 @@ def _complete(G, order, exprs=None, done=0):
     Pairs join leading terms in one component and are pruned by the
     Gebauer-Moller update: the chain criterion on pending pairs, one pair per
     minimal lcm among new ones, and coprime leading terms in rank 1 only.
+    S-polynomials are divided by one divisor index of G, extended as G grows.
     Untracked pairs are taken by the order of their lcm (normal strategy).
     Tracked pairs keep the depth-first order (input pairs sorted by (i, j),
     then each new element's pairs ahead of all pending ones), because
@@ -78,10 +104,12 @@ def _complete(G, order, exprs=None, done=0):
     rank1 = G[0].rank == 1
     s = len(G)
     leads = []
+    index = {}
     pairs = []
 
     def add(m):
-        (c, e), _ = leads[m]
+        (c, e), lc = leads[m]
+        index.setdefault(c, []).append((e, lc, m))
         keep = []
         for p in pairs:
             _, i, j, (pc, lam) = p
@@ -116,7 +144,7 @@ def _complete(G, order, exprs=None, done=0):
         sp = G[i].mul_term(*ti) - G[j].mul_term(*tj)
         if sp.is_zero:
             continue
-        quots, r = divide(sp, G, order)
+        quots, r = _divide(sp, G, order, index)
         if r.is_zero:
             continue
         lm, lc = r.leading(order)
@@ -125,9 +153,8 @@ def _complete(G, order, exprs=None, done=0):
         leads.append((lm, one))
         if exprs is not None:
             expr = exprs[i].mul_term(*ti) - exprs[j].mul_term(*tj)
-            for k, q in enumerate(quots):
-                if not q.is_zero:
-                    expr = expr - exprs[k].mul_poly(q)
+            for k in sorted(quots):
+                expr = expr - exprs[k].mul_poly(ModuleElement(r.ring, 1, quots[k]))
             exprs.append(expr.scale(c))
         add(len(G) - 1)
     return G
@@ -242,40 +269,51 @@ def is_groebner(G, order):
 def _schreyer(h, g_u, order, what):
     """Schreyer syzygies of h relative to g_u, with their Schreyer order.
 
-    Every S-pair of full = h + g_u is divided over full once. A pair with an
-    element of h is lifted into a syzygy, its own terms minus the quotients,
-    projected onto R^len(h); zero projections are dropped. A pair inside g_u is only checked. A pair that
-    does not reduce to zero raises ContractViolation saying the input is
-    `what`, with elements numbered over h, then g_u.
+    Every S-pair of full = h + g_u is divided over full once, through one
+    divisor index whose buckets also give each element's partners: the
+    pairs (i, j), i < j, with equal leading components, taken by j, then i.
+    A pair with an element of h is lifted into a syzygy, its own terms minus
+    the quotients, projected onto R^len(h); zero projections are dropped. A
+    pair inside g_u is only checked. A pair that does not reduce to zero
+    raises ContractViolation saying the input is `what`, with elements
+    numbered over h, then g_u. An empty full has no syzygies.
     """
     t = len(h)
     full = list(h) + list(g_u)
-    one = full[0].ring.field.one
     leads = [x.leading(order) for x in full]
     sord = SchreyerOrder(tuple(m for m, _ in leads[:t]), order)
+    if not full:
+        return [], sord
+    ring = full[0].ring
+    one = ring.field.one
+    index = _index(leads)
     recs = []
-    for j in range(1, len(full)):
-        for i in range(j):
-            if leads[i][0][0] != leads[j][0][0]:
-                continue
+    for j, ((comp, _), _) in enumerate(leads):
+        for _, _, i in index[comp]:
+            if i == j:
+                break
             ti, tj = _cofactors(leads[i], leads[j], one)
             sp = full[i].mul_term(*ti) - full[j].mul_term(*tj)
-            sig = {(i, ti[1]): ti[0]} if i < t else {}
-            if j < t:
-                sig[(j, tj[1])] = -tj[0]
+            quots = {}
             if not sp.is_zero:
-                quots, rem = divide(sp, full, order)
+                quots, rem = _divide(sp, full, order, index)
                 if not rem.is_zero:
                     raise ContractViolation(
                         "input is %s: S-polynomial of elements %d and %d does not reduce to zero"
                         % (what, i + 1, j + 1)
                     )
-                for k in range(t):
-                    for (_, e), c in quots[k].terms:
+            if i >= t:
+                continue
+            sig = {(i, ti[1]): ti[0]}
+            if j < t:
+                sig[(j, tj[1])] = -tj[0]
+            for k, q in quots.items():
+                if k < t:
+                    for (_, e), c in q.items():
                         prev = sig.get((k, e))
                         sig[(k, e)] = -c if prev is None else prev - c
-            sig = ModuleElement(sp.ring, t, sig)
-            if i < t and not sig.is_zero:
+            sig = ModuleElement(ring, t, sig)
+            if not sig.is_zero:
                 recs.append((i, j, sig))
     recs.sort(key=lambda rec: (rec[0], sord.key(rec[2].leading(sord)[0]), rec[1]))
     return [sig for _, _, sig in recs], sord

@@ -7,7 +7,8 @@ from .graded import (
     element_degree, graded_dimensions, is_homogeneous, monomialize,
 )
 from .groebner import (
-    buchberger, buchberger_transform, express, minimal_groebner, minimal_transform, reduce_groebner, schreyer_syzygies,
+    _divide, _index, buchberger, buchberger_transform, minimal_groebner, minimal_transform, reduce_groebner,
+    schreyer_syzygies,
 )
 from .orders import default_order
 from .relative import reduce_relative, relative_buchberger, relative_schreyer
@@ -32,12 +33,12 @@ def kernel_of_free_map(mat, order):
             v = v + A[k].mul_term(c, e)
         if not v.is_zero:
             out.append(v)
+    index = _index([g.leading(order) for g in G2])
     for j, col in enumerate(cols):
-        quots = express(col, G2, order)
+        quots, _ = _divide(col, G2, order, index)  # zero remainder: G2 is a Groebner basis of the columns' span
         v = ModuleElement.monomial(ring, m, j, zero_exp)
-        for k, q in enumerate(quots):
-            if not q.is_zero:
-                v = v - A[k].mul_poly(q)
+        for k in sorted(quots):
+            v = v - A[k].mul_poly(ModuleElement(ring, 1, quots[k]))
         if not v.is_zero:
             out.append(v)
     korder = order.for_rank(m)
@@ -173,8 +174,9 @@ def prune_minimize(res):
     die. That replaces e_l by e_l - (b/a)*x^d*e_c in F_(k+1), which changes
     D_(k+2) only in coordinate e_c, dead with c. Survivors are renumbered
     once, in order, at the end, so the pivots are those of dropping each pair
-    as it is cancelled. Constant entries in alive rows are kept per column
-    and refreshed only for the columns a cancellation touched.
+    as it is cancelled. The lowest alive row of a constant entry is kept per
+    column and refreshed only for the columns a cancellation touched; the
+    pivot is the least (row, column) among them.
 
     Column j of degree b of the last differential is dropped exactly when its
     vector lies in the span of the columns of degree < b and the earlier ones
@@ -198,19 +200,22 @@ def prune_minimize(res):
             raise ContractViolation("differential %d is not homogeneous" % (idx + 1)) from None
     alive = [set(range(len(res.gens)))] + [set(range(d.ncols)) for d in res.diffs]
     for d, cols, rows, live in zip(res.diffs, sparse, alive, alive[1:]):
-        def constants(c):
-            return {i: v for i, v in cols[c].items() if i in rows and d.row_shifts[i] == d.col_shifts[c]}
+        def lowest(c):  # the lowest alive row of a constant entry in column c, or None
+            return min((i for i in cols[c] if i in rows and d.row_shifts[i] == d.col_shifts[c]), default=None)
 
-        consts = {c: constants(c) for c in live}
-        while any(consts.values()):
-            r, c = min((r, c) for c, m in consts.items() for r in m)
-            a = consts.pop(c)[r]
+        low = {c: r for c in live if (r := lowest(c)) is not None}
+        while low:
+            r, c = min((r, c) for c, r in low.items())
+            del low[c]
+            a = cols[c][r]
             rows.remove(r)
             live.remove(c)
             for l in live:
                 if r in cols[l]:
                     _axpy(cols[l], -cols[l][r] / a, cols[c])
-                    consts[l] = constants(l)
+                    low[l] = lowest(l)
+                    if low[l] is None:
+                        del low[l]
     keep = [sorted(s) for s in alive]
     while len(keep) > 1 and not keep[-1]:
         keep.pop()

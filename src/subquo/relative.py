@@ -1,7 +1,7 @@
 """Groebner bases of a submodule relative to a nested submodule."""
 
 from .errors import ContractViolation
-from .groebner import _complete, _reduce, _schreyer, divide, is_groebner, normal_form
+from .groebner import _complete, _divide, _index, _reduce, _schreyer, divide, is_groebner, normal_form
 
 
 def relative_division(f, g_u, h, order):
@@ -19,10 +19,11 @@ def relative_buchberger(gens, g_u, order):
     """Relative Groebner basis of the span of gens plus the inner submodule.
 
     g_u must be a Groebner basis of the inner submodule, so no pair inside it
-    is formed.
+    is formed. Every generator is divided by one divisor index of g_u.
     """
     base = [g for g in g_u if not g.is_zero]
-    cand = [normal_form(f, base, order) for f in gens]
+    index = _index([g.leading(order) for g in base])
+    cand = [_divide(f, base, order, index)[1] for f in gens]
     cand = [f for f in cand if not f.is_zero]
     return _complete(base + cand, order, done=len(base))[len(base):]
 
@@ -49,8 +50,9 @@ def relative_schreyer(h, g_u, order):
     of h that is zero or not reduced modulo g_u, or the first S-pair of
     h + g_u that does not reduce to zero.
     """
+    index = _index([None if g.is_zero else g.leading(order) for g in g_u])
     for k, x in enumerate(h):
-        if x.is_zero or normal_form(x, g_u, order) != x:
+        if x.is_zero or _divide(x, g_u, order, index)[1] != x:
             raise ContractViolation(
                 "input is not a relative Groebner basis: element %d is zero or reducible "
                 "modulo the inner submodule" % (k + 1)

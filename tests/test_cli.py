@@ -697,6 +697,52 @@ class TestBases:
         assert code == 2
         assert "not a relative Groebner basis" in err
 
+    # Rank 2 over k[X, Y]: the S-pairs (2, 4) and (3, 4) in e2 and (1, 5)
+    # in e1 fail. Pairs are taken by j, then i, so (2, 4) is named: not the
+    # (1, 5) of a walk by i or by component, nor the (3, 4) of a walk with i
+    # descending.
+    NON_BASIS_2 = [
+        "X*Y^2*e1+X*e1", "X^2*Y*e2+Y^2*e2", "Y^2*e2", "Y^3*e2+X^2*e2", "Y^2*e1",
+    ]
+
+    @staticmethod
+    def _module(tmp_path, name, elements, rank=1):
+        path = tmp_path / name
+        path.write_text(
+            "n: 2\nvars: X Y\nfield: q\nrank: %d\norder: grevlex X Y ; pot desc\nelements:\n%s\n"
+            % (rank, "\n".join(elements))
+        )
+        return str(path)
+
+    def test_syz_names_first_failing_pair(self, tmp_path, monkeypatch, capsys):
+        g = self._module(tmp_path, "g.mod", self.NON_BASIS_2, rank=2)
+        code, out, err = run_cli(monkeypatch, capsys, "syz", g)
+        assert (code, out) == (2, "")
+        assert err == (
+            "Error: input is not a Groebner basis: S-polynomial of elements 2 and 4 "
+            "does not reduce to zero\n"
+        )
+
+    def test_relsyz_names_first_failing_pair(self, tmp_path, monkeypatch, capsys):
+        u = self._module(tmp_path, "u.mod", ["X^6*e1", "X^6*e2"], rank=2)
+        h = self._module(tmp_path, "h.mod", self.NON_BASIS_2, rank=2)
+        code, out, err = run_cli(monkeypatch, capsys, "relsyz", u, h)
+        assert (code, out) == (2, "")
+        assert err == (
+            "Error: input is not a relative Groebner basis: S-polynomial of elements 2 and 4 "
+            "does not reduce to zero\n"
+        )
+
+    def test_syz_of_empty_module(self, tmp_path, monkeypatch, capsys):
+        # README: an empty module is written as the single line 0
+        empty = self._module(tmp_path, "empty.mod", ["0"])
+        want = "n: 2\nvars: X Y\nfield: q\nrank: 0\nelements:\n0\n"
+        assert run_cli(monkeypatch, capsys, "syz", empty) == (0, want, "")
+        assert run_cli(monkeypatch, capsys, "relsyz", empty, empty) == (0, want, "")
+        # the output the empty module now matches: H empty over a nonempty U
+        one = self._module(tmp_path, "one.mod", ["X^2*e1"])
+        assert run_cli(monkeypatch, capsys, "relsyz", one, empty) == (0, want, "")
+
     def test_relsyz_accepts_relative_basis(self, files, tmp_path, monkeypatch, capsys):
         h = tmp_path / "h.mod"
         h.write_text(

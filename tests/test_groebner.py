@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,7 @@ from subquo import (
     default_order,
     divide,
     express,
+    free_resolution,
     is_groebner,
     minimal_groebner,
     minimal_transform,
@@ -24,6 +26,7 @@ from subquo import (
     parse_order,
     reduce_groebner,
     relative_division,
+    relative_schreyer,
     s_polynomial,
     schreyer_syzygies,
 )
@@ -246,6 +249,12 @@ class TestSchreyerSyzygies:
         syz, sord = schreyer_syzygies(G, order)
         assert is_groebner([s for s in syz if not s.is_zero], sord)
 
+    def test_empty_input_has_no_syzygies(self, ring_xy):
+        order = default_order(ring_xy, 1)
+        for syz, sord in (schreyer_syzygies([], order), relative_schreyer([], [], order)):
+            assert syz == []
+            assert sord.lts == ()
+
     def test_minimal_flag_filters_dominated(self, ring_xyz):
         order = parse_order("grevlex X Y Z ; pot desc", ring_xyz, 1)
         G = els(ring_xyz, 1, ["X*Y*e1", "Y*Z*e1", "X*Z*e1"])
@@ -380,3 +389,142 @@ class TestCompletionProperties:
                 assert not any(mon_divides(lm, mon) for lm in leads)
 
         check()
+
+
+def _reference_divide(f, basis, order):
+    """Linear-scan division on term dicts: each leading term is reduced by the
+    first element in list order whose leading monomial divides it, zero
+    elements skipped, or moved to the remainder."""
+    ring = f.ring
+    zero = ring.field.zero
+    quots = [{} for _ in basis]
+    rem = {}
+    work = dict(f.terms)
+    while work:
+        mon = max(work, key=order.key)
+        for i, g in enumerate(basis):
+            if g.is_zero:
+                continue
+            lm = max((m for m, _ in g.terms), key=order.key)
+            if mon_divides(lm, mon):
+                c = work[mon] / g.coeff(*lm)
+                e = tuple(b - a for a, b in zip(lm[1], mon[1]))
+                quots[i][(0, e)] = c
+                for (gc, ge), gv in g.terms:
+                    key = (gc, tuple(x + y for x, y in zip(ge, e)))
+                    v = work.get(key, zero) - c * gv
+                    if v:
+                        work[key] = v
+                    else:
+                        del work[key]
+                break
+        else:
+            rem[mon] = work.pop(mon)
+    return [ModuleElement(ring, 1, q) for q in quots], ModuleElement(ring, f.rank, rem)
+
+
+class TestDivisionOracle:
+    """divide and the division inside completion against _reference_divide."""
+
+    ORDERS = [
+        "%s X Y ; %s" % (kind, ext)
+        for kind in ("grevlex", "lex")
+        for ext in ("pot desc", "pot asc", "top desc", "top asc")
+    ]
+
+    @staticmethod
+    def _setting(draw, st, max_rank):
+        field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+        rank = draw(st.integers(1, max_rank))
+        ring = Ring(2, field, ("X", "Y"))
+        order = parse_order(draw(st.sampled_from(TestDivisionOracle.ORDERS)), ring, rank)
+        exp = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        mon = st.tuples(st.integers(0, rank - 1), exp)
+        coeff = st.integers(-3, 3).filter(bool).map(field.from_int)
+        elem = st.dictionaries(mon, coeff, max_size=4).map(lambda d: ModuleElement(ring, rank, d))
+        return field, ring, rank, order, exp, coeff, elem
+
+    def test_divide_matches_linear_scan(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def cases(draw):
+            field, ring, rank, order, exp, coeff, elem = self._setting(draw, st, 3)
+            basis = draw(st.lists(elem, max_size=5))
+            # at least one zero element, and elements repeating a leading
+            # monomial: a scaled copy, or the bare leading term
+            basis.insert(draw(st.integers(0, len(basis))), ModuleElement.zero(ring, rank))
+            for _ in range(draw(st.integers(1, 3))):
+                live = [g for g in basis if not g.is_zero]
+                if not live:
+                    break
+                g = draw(st.sampled_from(live))
+                bare = ModuleElement(ring, rank, dict([g.leading(order)]))
+                twin = draw(st.sampled_from([g.scale(draw(coeff)), bare]))
+                basis.insert(draw(st.integers(0, len(basis))), twin)
+            # f mixes multiples of the basis into a random element, so most
+            # of its terms are divisible
+            f = draw(elem)
+            for g in draw(st.lists(st.sampled_from(basis), max_size=3)):
+                f = f + g.mul_term(draw(coeff), draw(exp))
+            return f, basis, order
+
+        @hyp.settings(max_examples=150)
+        @hyp.given(cases())
+        def check(case):
+            f, basis, order = case
+            assert divide(f, basis, order) == _reference_divide(f, basis, order)
+
+        check()
+
+    def test_completion_appends_remainders_over_the_prefix(self):
+        # each element completion appends is the remainder of an S-pair over
+        # the basis so far, so dividing it by that prefix leaves it as it is
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def cases(draw):
+            field, ring, rank, order, exp, coeff, elem = self._setting(draw, st, 2)
+            return draw(st.lists(elem, min_size=2, max_size=4)), order
+
+        @hyp.settings(max_examples=80)
+        @hyp.given(cases())
+        def check(case):
+            gens, order = case
+            G = buchberger(gens, order)
+            for k in range(sum(not g.is_zero for g in gens), len(G)):
+                quots, rem = _reference_divide(G[k], G[:k], order)
+                assert rem == G[k]
+                assert all(q.is_zero for q in quots)
+
+        check()
+
+
+def test_resolution_leading_work_is_pinned(monkeypatch):
+    """ModuleElement.leading calls while resolving m^2/m^5 over k[X, Y, Z].
+
+    Division reads divisor leads from one index per basis instead of
+    recomputing them per call (175,890 calls without the index), so a change
+    here means the per-call lead rebuild, or some other leading-term work,
+    came back or went away. The count is deterministic.
+    """
+    ring = Ring(3, QQ, ("X", "Y", "Z"))
+    order = parse_order("grevlex X Y Z ; pot desc", ring, 1)
+
+    def power(d):
+        exps = sorted((e for e in product(range(d + 1), repeat=3) if sum(e) == d), reverse=True)
+        return [ModuleElement.monomial(ring, 1, 0, e) for e in exps]
+
+    calls = [0]
+    leading = ModuleElement.leading
+
+    def counted(self, order):
+        calls[0] += 1
+        return leading(self, order)
+
+    monkeypatch.setattr(ModuleElement, "leading", counted)
+    res = free_resolution(power(2), power(5), order)
+    assert [len(res.gens)] + [d.ncols for d in res.diffs] == [6, 141, 327, 270, 78]
+    assert calls[0] == 7182
