@@ -73,17 +73,17 @@ def _load_pair(upath, vpath, order_text, field_text=None):
 
 def gb(module_file, order_text, field_text, output):
     """Reduced Groebner basis of the module generated by the input elements."""
-    ring, rank, order, gens, _ = _load_module(module_file, order_text, field_text)
+    ring, rank, order, gens, shifts = _load_module(module_file, order_text, field_text)
     basis = reduce_groebner(buchberger(gens, order), order)
-    _emit(emit_module_file(ring, rank, basis, order), output)
+    _emit(emit_module_file(ring, rank, basis, order, shifts=shifts), output)
 
 
 def relgb(u_file, v_file, order_text, field_text, output):
     """Reduced Groebner basis of V relative to U."""
-    ring, rank, order, u_gens, v_gens, _ = _load_pair(u_file, v_file, order_text, field_text)
+    ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
     g_u = reduce_groebner(buchberger(u_gens, order), order)
     h = reduce_relative(relative_buchberger(v_gens, g_u, order), g_u, order)
-    _emit(emit_module_file(ring, rank, h, order), output)
+    _emit(emit_module_file(ring, rank, h, order, shifts=shifts), output)
 
 
 def syz(module_file, order_text, field_text, output):

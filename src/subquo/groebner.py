@@ -122,12 +122,10 @@ def _complete(G, order, exprs=None, done=0):
         if m < done:
             return
         cand = {}
-        for k in range(m):
-            (ck, ek), _ = leads[k]
-            if ck == c:
-                lam = exp_lcm(ek, e)
-                first, coprime = cand.get(lam, (k, False))
-                cand[lam] = (first, coprime or (rank1 and lam == exp_add(ek, e)))
+        for ek, _, k in index[c][:-1]:
+            lam = exp_lcm(ek, e)
+            first, coprime = cand.get(lam, (k, False))
+            cand[lam] = (first, coprime or (rank1 and lam == exp_add(ek, e)))
         for lam, (k, coprime) in cand.items():
             if coprime or any(o != lam and exp_divides(o, lam) for o in cand):
                 continue
@@ -182,16 +180,16 @@ def buchberger_transform(gens, order):
     return _complete(G, order, exprs), exprs
 
 
-def _minimal_indices(G, order):
-    """Indices of a minimal subset: no kept leading monomial divides another.
+def _minimal_indices(lms, order):
+    """Indices of a minimal subset of leading monomials: no kept one divides
+    another, and of equal ones the first is kept.
 
     A monomial divides only monomials of its own component, so each
     candidate is tested against the kept exponents of its component alone.
     """
-    lms = [g.leading(order)[0] for g in G]
     picked = []
     kept = {}  # component -> kept leading exponents
-    for i in sorted(range(len(G)), key=lambda k: (order.key(lms[k]), k)):
+    for i in sorted(range(len(lms)), key=lambda k: (order.key(lms[k]), k)):
         comp, exp = lms[i]
         same = kept.setdefault(comp, [])
         if not any(exp_divides(e, exp) for e in same):
@@ -221,7 +219,7 @@ def _reduce(G, g_u, order):
     Keeps the elements with minimal leading monomials, divides each by g_u
     and the other kept ones, and makes it monic.
     """
-    mini = [G[i] for i in _minimal_indices(G, order)]
+    mini = [G[i] for i in _minimal_indices([g.leading(order)[0] for g in G], order)]
     out = []
     for i, g in enumerate(mini):
         out.append(_monic(divide(g, list(g_u) + mini[:i] + mini[i + 1 :], order)[1], order))
@@ -235,13 +233,14 @@ def reduce_groebner(G, order):
 
 def minimal_groebner(G, order):
     """Minimal Groebner basis in canonical order: normalized, not tail-reduced."""
-    return _canonical([_monic(G[i], order) for i in _minimal_indices(G, order)], order)
+    lms = [g.leading(order)[0] for g in G]
+    return _canonical([_monic(G[i], order) for i in _minimal_indices(lms, order)], order)
 
 
 def minimal_transform(G, exprs, order):
     """Minimal Groebner basis keeping expressions over the original input in step."""
     paired = []
-    for i in _minimal_indices(G, order):
+    for i in _minimal_indices([g.leading(order)[0] for g in G], order):
         c = G[i].ring.field.one / G[i].leading(order)[1]
         paired.append((G[i].scale(c), exprs[i].scale(c)))
     paired = _canonical(paired, order, lambda ge: ge[0])
@@ -257,26 +256,34 @@ def express(f, G, order):
 
 
 def is_groebner(G, order):
-    """Return True if every S-polynomial of G reduces to zero."""
-    for j in range(len(G)):
-        for i in range(j):
-            s = s_polynomial(G[i], G[j], order)
-            if not s.is_zero and not normal_form(s, G, order).is_zero:
-                return False
+    """Return True if G, its zero elements left out, is a Groebner basis."""
+    try:
+        _schreyer([g for g in G if not g.is_zero], [], order, "not a Groebner basis", minimal=True)
+    except ContractViolation:
+        return False
     return True
 
 
-def _schreyer(h, g_u, order, what):
+def _schreyer(h, g_u, order, what, minimal=False):
     """Schreyer syzygies of h relative to g_u, with their Schreyer order.
 
-    Every S-pair of full = h + g_u is divided over full once, through one
-    divisor index whose buckets also give each element's partners: the
-    pairs (i, j), i < j, with equal leading components, taken by j, then i.
-    A pair with an element of h is lifted into a syzygy, its own terms minus
-    the quotients, projected onto R^len(h); zero projections are dropped. A
-    pair inside g_u is only checked. A pair that does not reduce to zero
-    raises ContractViolation saying the input is `what`, with elements
-    numbered over h, then g_u. An empty full has no syzygies.
+    The pairs of full = h + g_u are (i, j), i < j, with equal leading
+    components, taken by j, then i, from one divisor index. By Schreyer's
+    theorem (Eisenbud, Commutative Algebra, Thm 15.10) the syzygy of (i, j)
+    has lead (1/lc_i) x^(lcm - lm_i) e_i: both cofactor terms lift to the
+    lcm, the tie -i puts e_i first, and quotient terms lift strictly below.
+    Syzygies are sorted by (i, Schreyer key of that lead, j). With minimal,
+    _minimal_indices picks them by lead (of equal leads, the smaller j), and
+    only the picked pairs and those inside g_u are divided; otherwise all.
+    A divided pair must reduce to zero, or ContractViolation says the input
+    is `what`, numbering elements over h, then g_u; with an element of h it
+    is lifted into its terms minus the quotients, projected onto R^len(h).
+    The picked leads generate the syzygies of the leading terms of full (a
+    minimal Groebner basis of them, by Thm 15.10), so by Buchberger's
+    criterion for such a set (Moller, J. Symbolic Comput. 6, 1988; Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2 par. 9) full
+    is a Groebner basis exactly when each picked pair reduces to zero; only
+    the pair named for a failing input may differ. Empty full: no syzygies.
     """
     t = len(h)
     full = list(h) + list(g_u)
@@ -285,38 +292,31 @@ def _schreyer(h, g_u, order, what):
     if not full:
         return [], sord
     ring = full[0].ring
-    one = ring.field.one
+    one, zero = ring.field.one, ring.field.zero
     index = _index(leads)
-    recs = []
-    for j, ((comp, _), _) in enumerate(leads):
-        for _, _, i in index[comp]:
-            if i == j:
-                break
-            ti, tj = _cofactors(leads[i], leads[j], one)
-            sp = full[i].mul_term(*ti) - full[j].mul_term(*tj)
-            quots = {}
-            if not sp.is_zero:
-                quots, rem = _divide(sp, full, order, index)
-                if not rem.is_zero:
-                    raise ContractViolation(
-                        "input is %s: S-polynomial of elements %d and %d does not reduce to zero"
-                        % (what, i + 1, j + 1)
-                    )
-            if i >= t:
-                continue
-            sig = {(i, ti[1]): ti[0]}
-            if j < t:
-                sig[(j, tj[1])] = -tj[0]
+    pairs = [(i, j) + _cofactors(leads[i], leads[j], one)
+             for j, ((comp, _), _) in enumerate(leads) for _, _, i in index[comp] if i < j]
+    syz = sorted((p for p in pairs if p[0] < t), key=lambda p: (p[0], sord.key((p[0], p[2][1])), p[1]))
+    if minimal:
+        syz = [syz[k] for k in sorted(_minimal_indices([(p[0], p[2][1]) for p in syz], sord))]
+        kept = {p[:2] for p in syz}
+        pairs = [p for p in pairs if p[0] >= t or p[:2] in kept]
+    sigs = {}
+    for i, j, ti, tj in pairs:
+        sp = full[i].mul_term(*ti) - full[j].mul_term(*tj)
+        quots = {}
+        if not sp.is_zero:
+            quots, rem = _divide(sp, full, order, index)
+            if not rem.is_zero:
+                msg = "input is %s: S-polynomial of elements %d and %d does not reduce to zero"
+                raise ContractViolation(msg % (what, i + 1, j + 1))
+        if i < t:
+            sig = {(i, ti[1]): ti[0], (j, tj[1]): -tj[0]}
             for k, q in quots.items():
-                if k < t:
-                    for (_, e), c in q.items():
-                        prev = sig.get((k, e))
-                        sig[(k, e)] = -c if prev is None else prev - c
-            sig = ModuleElement(ring, t, sig)
-            if not sig.is_zero:
-                recs.append((i, j, sig))
-    recs.sort(key=lambda rec: (rec[0], sord.key(rec[2].leading(sord)[0]), rec[1]))
-    return [sig for _, _, sig in recs], sord
+                for (_, e), c in q.items():
+                    sig[(k, e)] = sig.get((k, e), zero) - c
+            sigs[i, j] = ModuleElement(ring, t, {m: c for m, c in sig.items() if m[0] < t})
+    return [sigs[p[:2]] for p in syz], sord
 
 
 def schreyer_syzygies(G, order, minimal=False):
@@ -324,9 +324,7 @@ def schreyer_syzygies(G, order, minimal=False):
 
     Returns (syzygies, schreyer_order); each syzygy sigma satisfies
     sum(sigma_k * G[k]) = 0 and is expressed in R^len(G). With minimal, only
-    syzygies with minimal leading monomials are kept, in the same order.
+    syzygies with minimal leading monomials are kept, in the same order; only
+    their pairs are divided, and that still checks G in full (see _schreyer).
     """
-    out, sord = _schreyer(G, [], order, "not a Groebner basis")
-    if minimal:
-        out = [out[k] for k in sorted(_minimal_indices(out, sord))]
-    return out, sord
+    return _schreyer(G, [], order, "not a Groebner basis", minimal)

@@ -733,6 +733,17 @@ class TestBases:
             "does not reduce to zero\n"
         )
 
+    def test_relsyz_rejects_reducible_element(self, tmp_path, monkeypatch, capsys):
+        # X^3 + Y has its lead X^3 in U = (X^2): H is not reduced modulo U
+        u = self._module(tmp_path, "u.mod", ["X^2"])
+        h = self._module(tmp_path, "h.mod", ["X^3+Y", "Y^2"])
+        assert run_cli(monkeypatch, capsys, "relsyz", u, h) == (
+            2,
+            "",
+            "Error: input is not a relative Groebner basis: element 1 is zero or reducible "
+            "modulo the inner submodule\n",
+        )
+
     def test_syz_of_empty_module(self, tmp_path, monkeypatch, capsys):
         # README: an empty module is written as the single line 0
         empty = self._module(tmp_path, "empty.mod", ["0"])
@@ -761,6 +772,38 @@ class TestBases:
             "X^2*e1",
         ]
         assert len(lines) - start == 21
+
+
+    # rank 2 over k[X, Y] with ambient shifts (1,0) and (0,1); every element
+    # is homogeneous for them
+    SHIFTED_HEAD = "n: 2\nvars: X Y\nfield: q\nrank: 2\nambient: (1,0) (0,1)\norder: grevlex X Y ; pot desc\n"
+
+    def _shifted(self, tmp_path):
+        u, v = tmp_path / "u.mod", tmp_path / "v.mod"
+        u.write_text(self.SHIFTED_HEAD + "elements:\nX^2*e1\nX*Y*e2\nY*e1-X*e2\n")
+        v.write_text(self.SHIFTED_HEAD + "elements:\ne1\ne2\n")
+        return str(u), str(v)
+
+    def test_gb_and_relgb_keep_the_ambient_header(self, tmp_path, monkeypatch, capsys):
+        u, v = self._shifted(tmp_path)
+        for args in (["gb", u], ["relgb", u, v]):
+            code, out, err = run_cli(monkeypatch, capsys, *args)
+            assert (code, err) == (0, "")
+            assert out.startswith(self.SHIFTED_HEAD + "elements:\n")
+
+    def test_outputs_compose_through_files(self, tmp_path, monkeypatch, capsys):
+        # README: outputs compose through files, so resolving over the gb
+        # output of U gives the bytes of resolving over U itself
+        u, v = self._shifted(tmp_path)
+        g = str(tmp_path / "g.mod")
+        assert run_cli(monkeypatch, capsys, "gb", u, "-o", g) == (0, "", "")
+        code, want, err = run_cli(monkeypatch, capsys, "resolution", u, v)
+        assert (code, err) == (0, "")
+        assert "ambient: (1,0) (0,1)" in want
+        assert run_cli(monkeypatch, capsys, "resolution", g, v) == (0, want, "")
+        assert run_cli(monkeypatch, capsys, "hilbert", g, v, "--box", "(0,0)..(2,2)") == run_cli(
+            monkeypatch, capsys, "hilbert", u, v, "--box", "(0,0)..(2,2)"
+        )
 
 
 class TestResolutions:
@@ -946,6 +989,13 @@ class TestHomologyAndDiagrams:
         path = tmp_path / "d.diag"
         path.write_text(diagram)
         assert run_cli(monkeypatch, capsys, "from-diagram", str(path)) == (0, want, "")
+
+    def test_homology_rejects_inhomogeneous_d1(self, tmp_path, monkeypatch, capsys):
+        # the entry -1 + X1 of D1 mixes degrees (0,0) and (1,0)
+        path = tmp_path / "bad.cpx"
+        path.write_text(C42_CPX.replace("-1 -1 0 0 0 0", "-1+X1 -1 0 0 0 0", 1))
+        code, out, err = run_cli(monkeypatch, capsys, "homology", str(path))
+        assert (code, out, err) == (1, "", "Error: matrix D1 is not homogeneous\n")
 
     def test_homology_inner_module_must_be_homogeneous_for_p(self, tmp_path, monkeypatch, capsys):
         # D2 is homogeneous for its own rows, but under P's rows (1,0), (0,1)

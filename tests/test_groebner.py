@@ -25,6 +25,8 @@ from subquo import (
     parse_field,
     parse_order,
     reduce_groebner,
+    reduce_relative,
+    relative_buchberger,
     relative_division,
     relative_schreyer,
     s_polynomial,
@@ -115,15 +117,18 @@ class TestBuchberger:
         assert is_groebner(buchberger(gens, order), order)
 
     def test_transform_expresses_basis(self, ring_xy):
-        order = default_order(ring_xy, 1)
-        gens = els(ring_xy, 1, ["X^2-Y", "X*Y-1"])
-        G, exprs = buchberger_transform(gens, order)
-        assert len(G) == len(exprs)
-        for g, expr in zip(G, exprs):
-            total = ModuleElement.zero(ring_xy, 1)
-            for (j, e), c in expr.terms:
-                total = total + gens[j].mul_term(c, e)
-            assert total == g
+        # the rank-2 input reduces an S-polynomial by an element before its
+        # remainder is appended, so the expressions subtract tracked quotients
+        for rank, texts in ((1, ["X^2-Y", "X*Y-1"]), (2, ["-e1", "2*Y^3*e2", "-2*Y*e1-3*Y*e2+Y^3*e2"])):
+            order = default_order(ring_xy, rank)
+            gens = els(ring_xy, rank, texts)
+            G, exprs = buchberger_transform(gens, order)
+            assert len(G) == len(exprs)
+            for g, expr in zip(G, exprs):
+                total = ModuleElement.zero(ring_xy, rank)
+                for (j, e), c in expr.terms:
+                    total = total + gens[j].mul_term(c, e)
+                assert total == g
 
     def test_random_outputs_are_groebner(self):
         rng = random.Random(2024)
@@ -391,6 +396,143 @@ class TestCompletionProperties:
         check()
 
 
+def _minimal_by_scanned_leads(syz, sord):
+    """The full Schreyer pass filtered by each syzygy's scanned lead: sorted
+    by (Schreyer key, position), a syzygy is kept unless the lead of a kept
+    one divides its own (so of equal leads the first is kept), and the kept
+    ones are returned in position order."""
+    lms = [s.leading(sord)[0] for s in syz]
+    kept = []
+    for k in sorted(range(len(syz)), key=lambda k: (sord.key(lms[k]), k)):
+        if not any(mon_divides(lms[i], lms[k]) for i in kept):
+            kept.append(k)
+    return [syz[k] for k in sorted(kept)]
+
+
+def _pair_order(syz, sord):
+    """(i, Schreyer key of the lead, j) of each syzygy of a full pass over a
+    Groebner basis, read off its terms: the syzygy of the pair (i, j) has
+    its largest term on e_i and its second largest on e_j, the two cofactor
+    terms, because every quotient term lifts strictly below their lcm."""
+    out = []
+    for s in syz:
+        top = sorted((sord.key(m), m) for m, _ in s.terms)
+        out.append((top[-1][1][0], top[-1][0], top[-2][1][0]))
+    return out
+
+
+def _all_pairs_groebner(G, order):
+    """Buchberger's criterion over every pair: each S-polynomial has a zero
+    remainder under division by G."""
+    return all(
+        normal_form(s_polynomial(G[i], G[j], order), G, order).is_zero
+        for j in range(len(G))
+        for i in range(j)
+    )
+
+
+class TestMinimalSchreyer:
+    """schreyer_syzygies(..., minimal=True), which picks syzygies by the leads
+    of their pairs before dividing, against the full pass."""
+
+    ORDERS = ["%s %%s ; %s desc" % (kind, ext) for kind in ("grevlex", "lex") for ext in ("pot", "top")]
+
+    def test_matches_the_full_pass_down_a_resolution(self):
+        # the chain starts at the relative Schreyer syzygies of V over U, and
+        # each later level is the previous level's minimal Schreyer basis
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def chains(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            n = draw(st.integers(2, 3))
+            ring = Ring(n, field, ("X", "Y", "Z")[:n])
+            rank = draw(st.integers(1, 2))
+            order = parse_order(draw(st.sampled_from(self.ORDERS)) % " ".join(ring.names), ring, rank)
+            coeff = st.sampled_from([1, -1, 2, -3]).map(field.from_int)
+
+            def power(d):
+                return [
+                    ModuleElement(ring, rank, {(c, e): field.one})
+                    for e in product(range(d + 1), repeat=n)
+                    if sum(e) == d
+                    for c in range(rank)
+                ]
+
+            a = draw(st.integers(1, 2))
+            b = draw(st.integers(a + 1, a + (2 if n == 2 else 1)))
+            v = [] if draw(st.booleans()) else power(a)
+            # random homogeneous generators of degree a: one exponent per
+            # element, any coefficients in the components
+            exps = [e for e in product(range(a + 1), repeat=n) if sum(e) == a]
+            for _ in range(draw(st.integers(0 if v else 1, 3))):
+                e = draw(st.sampled_from(exps))
+                comps = draw(st.sets(st.integers(0, rank - 1), min_size=1))
+                v.append(ModuleElement(ring, rank, {(c, e): draw(coeff) for c in comps}))
+            return v, power(b), order
+
+        @hyp.settings(max_examples=30, deadline=None)
+        @hyp.given(chains())
+        def check(case):
+            v, u, order = case
+            g_u = reduce_groebner(buchberger(u, order), order)
+            h = reduce_relative(relative_buchberger(v, g_u, order), g_u, order)
+            cols, sord = relative_schreyer(h, g_u, order)
+            for _ in range(4):  # free_resolution's n + 1 levels, n <= 3
+                if not cols:
+                    break
+                full, full_sord = schreyer_syzygies(cols, sord)
+                pairs = _pair_order(full, full_sord)
+                assert pairs == sorted(pairs)
+                mini, mini_sord = schreyer_syzygies(cols, sord, minimal=True)
+                assert mini_sord == full_sord
+                assert mini == _minimal_by_scanned_leads(full, full_sord)
+                cols, sord = mini, mini_sord
+
+        check()
+
+    def test_groebner_check_is_complete(self):
+        # basis prefixes and raw generators, so some inputs are bases and some
+        # are not; fp:5 makes coefficient cancellations common
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def inputs(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003", "fp:5"])))
+            n = draw(st.integers(2, 3))
+            ring = Ring(n, field, ("X", "Y", "Z")[:n])
+            rank = draw(st.integers(1, 2))
+            order = parse_order(draw(st.sampled_from(self.ORDERS)) % " ".join(ring.names), ring, rank)
+            exp = st.tuples(*[st.integers(0, 2)] * n)
+            mon = st.tuples(st.integers(0, rank - 1), exp)
+            coeff = st.integers(1, 4).map(field.from_int)
+            elem = st.dictionaries(mon, coeff, min_size=1, max_size=3).map(lambda d: ModuleElement(ring, rank, d))
+            gens = draw(st.lists(elem, min_size=1, max_size=4))
+            if draw(st.booleans()):
+                G = buchberger(gens, order)
+                gens = G[: draw(st.integers(1, len(G)))]
+            return [g for g in gens if not g.is_zero], order
+
+        def raises(G, order, minimal):
+            try:
+                schreyer_syzygies(G, order, minimal=minimal)
+            except ContractViolation:
+                return True
+            return False
+
+        @hyp.settings(max_examples=150, deadline=None)
+        @hyp.given(inputs())
+        def check(case):
+            G, order = case
+            failed = raises(G, order, False)
+            assert raises(G, order, True) == failed
+            assert is_groebner(G, order) == (not failed) == _all_pairs_groebner(G, order)
+
+        check()
+
+
 def _reference_divide(f, basis, order):
     """Linear-scan division on term dicts: each leading term is reduced by the
     first element in list order whose leading monomial divides it, zero
@@ -506,9 +648,11 @@ def test_resolution_leading_work_is_pinned(monkeypatch):
     """ModuleElement.leading calls while resolving m^2/m^5 over k[X, Y, Z].
 
     Division reads divisor leads from one index per basis instead of
-    recomputing them per call (175,890 calls without the index), so a change
-    here means the per-call lead rebuild, or some other leading-term work,
-    came back or went away. The count is deterministic.
+    recomputing them per call (175,890 calls without the index), and the
+    minimal Schreyer pass reads each syzygy's lead off its pair's cofactors
+    instead of lifting every pair and scanning its syzygy (7,182 calls), so
+    a change here means some leading-term work came back or went away. The
+    count is deterministic.
     """
     ring = Ring(3, QQ, ("X", "Y", "Z"))
     order = parse_order("grevlex X Y Z ; pot desc", ring, 1)
@@ -527,4 +671,4 @@ def test_resolution_leading_work_is_pinned(monkeypatch):
     monkeypatch.setattr(ModuleElement, "leading", counted)
     res = free_resolution(power(2), power(5), order)
     assert [len(res.gens)] + [d.ncols for d in res.diffs] == [6, 141, 327, 270, 78]
-    assert calls[0] == 7182
+    assert calls[0] == 2357

@@ -99,6 +99,54 @@ class TestKernelOfFreeMap:
         for k in kernel_of_free_map(d1, order):
             assert d1.apply(k).is_zero
 
+    @staticmethod
+    def _check_kernel_dimensions(d1, order):
+        # F_a has one basis monomial per column j with shift <= a, so the
+        # kernel at degree a has dimension #{j : shift_j <= a} - rank(D1_a)
+        ker = kernel_of_free_map(d1, order)
+        for k in ker:
+            assert d1.apply(k).is_zero
+            assert element_degree(k, d1.col_shifts) is not None
+        lo, hi = (0, 0), (4, 4)
+        want = [
+            sum(deg_leq(s, a) for s in d1.col_shifts) - r
+            for a, r in zip(degrees_in_box(lo, hi), d1.degree_ranks(lo, hi))
+        ]
+        assert list(graded_dimensions(ker, [], d1.col_shifts, lo, hi)) == want
+
+    def test_kernel_graded_dimensions_middle_complex(self, ring2):
+        d1, _, _, order = middle_complex(ring2)
+        self._check_kernel_dimensions(d1, order)
+
+    def test_kernel_graded_dimensions_random(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def maps(draw):
+            # entry (i, j) is c * x^(col_j - row_i) when row_i <= col_j, else 0
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            ring = Ring(2, field, ("X1", "X2"))
+            deg = st.tuples(st.integers(0, 2), st.integers(0, 2))
+            rows = draw(st.lists(deg, min_size=1, max_size=3))
+            cols = draw(st.lists(deg, min_size=1, max_size=5))
+            coeff = st.sampled_from([0, 1, -1, 2, -3]).map(field.from_int)
+            entries = [
+                ModuleElement(ring, len(rows), {
+                    (i, tuple(b - a for a, b in zip(r, c))): draw(coeff) for i, r in enumerate(rows) if deg_leq(r, c)
+                })
+                for c in cols
+            ]
+            spec = draw(st.sampled_from(["grevlex X1 X2 ; pot desc", "lex X1 X2 ; top desc", "grevlex X2 X1 ; top asc"]))
+            return GradedMatrix(ring, rows, cols, entries), parse_order(spec, ring, 1)
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(maps())
+        def check(case):
+            self._check_kernel_dimensions(*case)
+
+        check()
+
     def test_injective_map_has_no_kernel(self, ring2, order2):
         mat = GradedMatrix.from_entries(
             ring2, ((0, 0),), ((1, 0),), scalar_grid(ring2, [["X1"]])
