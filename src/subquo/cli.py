@@ -54,20 +54,21 @@ def _load_module(path, order_text, field_text=None):
 
 
 def _load_pair(upath, vpath, order_text, field_text=None):
-    """Read U and V module files over the same ring, padded to a common rank."""
+    """Read U and V module files over the same ring, padded to a common rank.
+
+    The components both files have must carry the same shifts (zero without
+    'ambient:'); the order and shifts are the higher-rank file's, V's on a tie.
+    """
     ring_u, rank_u, order_u, u_gens, shifts_u = _load_module(upath, order_text, field_text)
     ring_v, rank_v, order_v, v_gens, shifts_v = _load_module(vpath, order_text, field_text)
     if ring_u != ring_v:
         raise InputError("U and V files use different rings")
+    if shifts_u[:rank_v] != shifts_v[:rank_u]:
+        raise InputError("U and V files declare different ambient shifts")
     rank = max(rank_u, rank_v)
+    order, shifts = (order_v, shifts_v) if rank_v == rank else (order_u, shifts_u)
     u_gens = [e.pad(rank) for e in u_gens]
     v_gens = [e.pad(rank) for e in v_gens]
-    if rank_v == rank:
-        order, shifts = order_v, shifts_v
-    else:
-        order, shifts = order_u.for_rank(rank), shifts_u + [(0,) * ring_u.n] * (rank - rank_u)
-    if rank_u == rank_v and shifts_u != shifts_v:
-        raise InputError("U and V files declare different ambient shifts")
     return ring_u, rank, order, u_gens, v_gens, shifts
 
 
@@ -119,13 +120,13 @@ def resolution(u_file, v_file, length, order_text, field_text, output):
 
 def minimize(res_file, field_text, output):
     """Prune constant entries from a resolution until it is minimal."""
-    res = parse_resolution_file(_read(res_file), None, field_text)
+    res = parse_resolution_file(_read(res_file), field_text)
     _emit(emit_resolution_file(prune_minimize(res)), output)
 
 
 def betti(res_file, field_text):
     """Betti numbers of a resolution, minimizing it first when needed."""
-    res = parse_resolution_file(_read(res_file), None, field_text)
+    res = parse_resolution_file(_read(res_file), field_text)
     if not res.minimized:
         res = prune_minimize(res)
     print(" ".join(str(b) for b in betti_numbers(res)))
@@ -178,7 +179,7 @@ def from_diagram(diagram_file, field_text, output):
 
 def verify(res_file, box_text, field_text):
     """Check a resolution file: homogeneity, zero composites, graded exactness."""
-    res = parse_resolution_file(_read(res_file), None, field_text)
+    res = parse_resolution_file(_read(res_file), field_text)
     box = _parse_box(box_text, res.ring.n) if box_text is not None else None
     ok, report = verify_complex(res, box)
     for line in report:

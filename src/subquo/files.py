@@ -5,7 +5,7 @@ import re
 from .elements import ModuleElement, format_element, parse_element, parse_field, QQ, Ring
 from .errors import InputError
 from .flange import FreeInjectiveMatrix
-from .graded import GradedMatrix, format_degree, parse_degree
+from .graded import GradedMatrix, element_degree, format_degree, is_homogeneous, parse_degree
 from .homres import Resolution, VectorDiagram
 from .orders import default_order, format_order, parse_order
 
@@ -43,14 +43,13 @@ class _Cursor:
         return line
 
 
-def _read_headers(cur):
-    """Consume leading 'key: value' headers into a dict."""
+def _open(text, field_text):
+    """Cursor past the leading 'key: value' headers, the headers as a dict,
+    and the ring from the n/vars/field headers (field_text overrides field)."""
+    cur = _Cursor(_read_lines(text))
     headers = {}
-    while True:
-        line = cur.peek()
-        if line is None:
-            break
-        m = _HEADER_RE.match(line)
+    while cur.peek() is not None:
+        m = _HEADER_RE.match(cur.peek())
         if not m:
             break
         key, value = m.group(1), m.group(2).strip()
@@ -58,11 +57,6 @@ def _read_headers(cur):
             raise InputError("duplicate header %r" % key)
         headers[key] = value
         cur.next()
-    return headers
-
-
-def _build_ring(headers, field_text=None):
-    """Ring from the n/vars/field headers, with an optional field override."""
     if "n" not in headers:
         raise InputError("missing 'n:' header")
     try:
@@ -72,7 +66,7 @@ def _build_ring(headers, field_text=None):
     names = headers["vars"].split() if "vars" in headers else None
     text = field_text if field_text is not None else headers.get("field")
     field = parse_field(text) if text is not None else QQ
-    return Ring(n, field, names)
+    return cur, headers, Ring(n, field, names)
 
 
 def _parse_degree_list(value, n, what):
@@ -108,21 +102,24 @@ def _read_shift_line(cur, key, n):
 
 
 def _read_matrix_block(cur, ring, name):
-    """Matrix block: a 'NAME:' line, rows/cols shifts, then entry rows."""
+    """Matrix block: a 'NAME:' line, rows/cols shifts, then entry rows (none without
+    columns), read left to right into sparse columns; each distinct nonzero entry is parsed once."""
     _expect_section(cur, name)
     row_shifts = _read_shift_line(cur, "rows", ring.n)
     col_shifts = _read_shift_line(cur, "cols", ring.n)
-    zero = ModuleElement.zero(ring, 1)
-    entries = []
-    for _ in row_shifts:
-        if not col_shifts:
-            entries.append([])
-            continue
+    cols = [{} for _ in col_shifts]
+    parsed = {}
+    for i in range(len(row_shifts) if cols else 0):
         toks = cur.next().split()
-        if len(toks) != len(col_shifts):
-            raise InputError("matrix %s row has %d entries, expected %d" % (name, len(toks), len(col_shifts)))
-        entries.append([zero if t == "0" else parse_element(t, ring, 1) for t in toks])
-    return GradedMatrix.from_entries(ring, row_shifts, col_shifts, entries)
+        if len(toks) != len(cols):
+            raise InputError("matrix %s row has %d entries, expected %d" % (name, len(toks), len(cols)))
+        for col, t in zip(cols, toks):
+            if t != "0":
+                if t not in parsed:
+                    parsed[t] = parse_element(t, ring, 1).terms
+                for (_, e), c in parsed[t]:
+                    col[(i, e)] = c
+    return GradedMatrix(ring, row_shifts, col_shifts, [ModuleElement(ring, len(row_shifts), col) for col in cols])
 
 
 def _emit_matrix_block(out, mat, name):
@@ -151,13 +148,9 @@ def parse_module_file(text, order_text=None, field_text=None):
 
     Returns (ring, rank, order, elements, shifts).
     """
-    cur = _Cursor(_read_lines(text))
-    headers = _read_headers(cur)
-    ring = _build_ring(headers, field_text)
+    cur, headers, ring = _open(text, field_text)
     _expect_section(cur, "elements")
-    raws = []
-    while cur.peek() is not None:
-        raws.append(cur.next())
+    raws = cur.lines[cur.i:]
     rank = None
     if "rank" in headers:
         try:
@@ -202,9 +195,7 @@ def parse_complex_file(text, order_text=None, field_text=None):
 
     Returns (ring, order, d1, p, d2).
     """
-    cur = _Cursor(_read_lines(text))
-    headers = _read_headers(cur)
-    ring = _build_ring(headers, field_text)
+    cur, headers, ring = _open(text, field_text)
     d1 = _read_matrix_block(cur, ring, "D1")
     p = _read_matrix_block(cur, ring, "P")
     d2 = _read_matrix_block(cur, ring, "D2")
@@ -214,16 +205,14 @@ def parse_complex_file(text, order_text=None, field_text=None):
     return ring, order, d1, p, d2
 
 
-def parse_resolution_file(text, order_text=None, field_text=None):
+def parse_resolution_file(text, field_text=None):
     """Resolution file: headers, ambient shifts, U section, D0 and later blocks."""
-    cur = _Cursor(_read_lines(text))
-    headers = _read_headers(cur)
-    ring = _build_ring(headers, field_text)
+    cur, headers, ring = _open(text, field_text)
     if "ambient" not in headers:
         raise InputError("missing 'ambient:' header")
     ambient = _parse_degree_list(headers["ambient"], ring.n, "ambient")
     rank = len(ambient)
-    order = _order_for(headers, ring, rank, order_text)
+    order = _order_for(headers, ring, rank)
     minimized = headers.get("minimized", "false").lower() == "true"
     u_gens = []
     if cur.peek() == "U:":
@@ -236,6 +225,9 @@ def parse_resolution_file(text, order_text=None, field_text=None):
     for j, col in enumerate(d0.cols):
         if col.is_zero:
             raise InputError("D0 column %d is zero: a generator of V must be nonzero" % (j + 1))
+        if is_homogeneous(col, ambient) and element_degree(col, ambient) != d0.col_shifts[j]:
+            msg = "D0 column %d has degree %s, but its 'cols:' shift is %s"
+            raise InputError(msg % (j + 1, format_degree(element_degree(col, ambient)), format_degree(d0.col_shifts[j])))
     diffs = []
     level = 1
     while cur.peek() is not None:
@@ -267,9 +259,7 @@ def emit_resolution_file(res):
 
 def parse_fim_file(text, order_text=None, field_text=None):
     """Free-injective matrix file with cogens/gens degree headers and a rows section."""
-    cur = _Cursor(_read_lines(text))
-    headers = _read_headers(cur)
-    ring = _build_ring(headers, field_text)
+    cur, headers, ring = _open(text, field_text)
     if "cogens" not in headers or "gens" not in headers:
         raise InputError("missing 'cogens:' or 'gens:' header")
     alpha = _parse_degree_list(headers["cogens"], ring.n, "cogens")
@@ -320,9 +310,7 @@ def parse_diagram_file(text, field_text=None):
     Map rows are ';'-separated, entries space-separated; k names the variable
     acting, with source degree (a).
     """
-    cur = _Cursor(_read_lines(text))
-    headers = _read_headers(cur)
-    ring = _build_ring(headers, field_text)
+    cur, headers, ring = _open(text, field_text)
     box = parse_degree(headers["box"], ring.n) if "box" in headers else None
     dims, maps = {}, {}
     while cur.peek() is not None:

@@ -326,5 +326,9 @@ def schreyer_syzygies(G, order, minimal=False):
     sum(sigma_k * G[k]) = 0 and is expressed in R^len(G). With minimal, only
     syzygies with minimal leading monomials are kept, in the same order; only
     their pairs are divided, and that still checks G in full (see _schreyer).
+    A zero element has no Schreyer lead, so ContractViolation names it.
     """
+    for k, g in enumerate(G):
+        if g.is_zero:
+            raise ContractViolation("input is not a Groebner basis: element %d is zero" % (k + 1))
     return _schreyer(G, [], order, "not a Groebner basis", minimal)

@@ -45,12 +45,14 @@ def relative_schreyer(h, g_u, order):
     """Presentation syzygies of a relative Groebner basis.
 
     Returns (columns, schreyer_order) where each column sigma in R^len(h)
-    satisfies sum(sigma_i * h_i) in the inner submodule. The input is checked
+    satisfies sum(sigma_i * h_i) in the inner submodule; zero elements of g_u
+    are left out, as in relative_buchberger. The input is checked
     while the syzygies are lifted: ContractViolation names the first element
     of h that is zero or not reduced modulo g_u, or the first S-pair of
     h + g_u that does not reduce to zero.
     """
-    index = _index([None if g.is_zero else g.leading(order) for g in g_u])
+    g_u = [g for g in g_u if not g.is_zero]
+    index = _index([g.leading(order) for g in g_u])
     for k, x in enumerate(h):
         if x.is_zero or _divide(x, g_u, order, index)[1] != x:
             raise ContractViolation(

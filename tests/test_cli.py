@@ -862,6 +862,21 @@ class TestResolutions:
         assert (code, out) == (1, "")
         assert "Error: D0 column 2 is zero" in err
 
+    # D0's generators X and Y have degrees (1,0) and (0,1), but its cols:
+    # line says (2,0) (0,1); D1 repeats those shifts as its rows
+    D0_SHIFT_RES = (
+        "n: 2\nvars: X Y\nfield: q\norder: grevlex X Y ; pot desc\nambient: (0,0)\nminimized: false\nU:\n"
+        "D0:\nrows: (0,0)\ncols: (2,0) (0,1)\nX Y\nD1:\nrows: (2,0) (0,1)\ncols: (2,1)\nY\n-X^2\n"
+    )
+
+    @pytest.mark.parametrize("command", ["verify", "minimize", "betti"])
+    def test_generator_off_its_d0_shift_is_input_error(self, command, tmp_path, monkeypatch, capsys):
+        res = tmp_path / "d0-shift.res"
+        res.write_text(self.D0_SHIFT_RES)
+        assert run_cli(monkeypatch, capsys, command, str(res)) == (
+            1, "", "Error: D0 column 1 has degree (1,0), but its 'cols:' shift is (2,0)\n"
+        )
+
     def test_inhomogeneous_resolution_is_input_error(self, tmp_path, monkeypatch, capsys):
         head = "n: 3\nvars: X Y Z\nfield: q\nrank: 1\norder: grevlex X Y Z ; pot desc\nelements:\n"
         u, v = tmp_path / "u.mod", tmp_path / "v.mod"
@@ -1076,6 +1091,42 @@ class TestHilbert:
         )
         assert (code, out) == (1, "")
         assert "is empty" in err
+
+
+class TestPairShifts:
+    """U and V files of different ranks must agree on the shifts of the
+    components both have; a file without 'ambient:' has zero shifts."""
+
+    WIDE = "n: 2\nvars: X Y\nfield: q\nrank: 2\nambient: (1,0) (0,1)\norder: grevlex X Y ; pot desc\nelements:\n%s\n"
+    NARROW = "n: 2\nvars: X Y\nfield: q\nrank: 1\n%sorder: grevlex X Y ; pot desc\nelements:\n%s\n"
+    COMMANDS = [["hilbert", "--box", "(0,0)..(2,2)"], ["resolution"]]
+
+    def _pair(self, tmp_path, ambient, swap):
+        """The rank-1 file as U under a rank-2 V, or as V over a rank-2 U."""
+        narrow, wide = tmp_path / "narrow.mod", tmp_path / "wide.mod"
+        narrow.write_text(self.NARROW % (ambient, "e1" if swap else "X^2*e1"))
+        wide.write_text(self.WIDE % ("X^2*e1\nX*Y*e2" if swap else "e1\ne2"))
+        return [str(wide), str(narrow)] if swap else [str(narrow), str(wide)]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["hilbert", "resolution"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["narrow-u", "narrow-v"])
+    @pytest.mark.parametrize("ambient", ["ambient: (5,5)\n", ""], ids=["other-shift", "no-header"])
+    def test_different_shared_shift_rejected(self, command, swap, ambient, tmp_path, monkeypatch, capsys):
+        u, v = self._pair(tmp_path, ambient, swap)
+        assert run_cli(monkeypatch, capsys, command[0], u, v, *command[1:]) == (
+            1, "", "Error: U and V files declare different ambient shifts\n"
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["hilbert", "resolution"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["narrow-u", "narrow-v"])
+    def test_same_shared_shift_is_the_padded_file(self, command, swap, tmp_path, monkeypatch, capsys):
+        u, v = self._pair(tmp_path, "ambient: (1,0)\n", swap)
+        code, out, err = run_cli(monkeypatch, capsys, command[0], u, v, *command[1:])
+        assert (code, err) == (0, "")
+        padded = tmp_path / "padded.mod"
+        padded.write_text(self.WIDE % ("e1" if swap else "X^2*e1"))
+        u, v = (u, str(padded)) if swap else (str(padded), v)
+        assert run_cli(monkeypatch, capsys, command[0], u, v, *command[1:]) == (0, out, "")
 
 
 class TestPlumbing:

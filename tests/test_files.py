@@ -2,7 +2,8 @@
 
 import pytest
 
-from subquo.elements import QQ, parse_element, parse_field
+import subquo.files
+from subquo.elements import QQ, ModuleElement, Ring, parse_element, parse_field
 from subquo.errors import InputError
 from subquo.files import (
     emit_fim_file,
@@ -17,7 +18,8 @@ from subquo.files import (
     parse_resolution_file,
 )
 from subquo.flange import FreeInjectiveMatrix
-from subquo.homres import free_resolution, prune_minimize
+from subquo.graded import GradedMatrix
+from subquo.homres import Resolution, free_resolution, prune_minimize
 from subquo.orders import format_order, parse_order
 
 from conftest import (
@@ -213,6 +215,110 @@ class TestResolutionFile:
         bad = text.replace("rows: (3,0) (2,1) (1,2) (0,2)", "rows: (3,0) (2,1) (1,2) (9,9)")
         with pytest.raises(InputError):
             parse_resolution_file(bad)
+
+
+class TestResolutionFileProperties:
+    def test_random_files_round_trip(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def resolutions(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            n, rank = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            ring = Ring(n, field, ("X", "Y", "Z")[:n])
+            exp = st.tuples(*[st.integers(0, 2)] * n)
+            shift = st.tuples(*[st.integers(-1, 2)] * n)
+            coeff = st.builds(field.from_fraction, st.integers(-3, 3), st.integers(1, 3)).filter(bool)
+            ambient = draw(st.lists(shift, min_size=rank, max_size=rank))
+            # generators of V are nonzero and homogeneous, and their degrees
+            # are D0's column shifts
+            gens, rows = [], []
+            for comp, e in draw(st.lists(st.tuples(st.integers(0, rank - 1), exp), max_size=3)):
+                deg = tuple(x + a for x, a in zip(e, ambient[comp]))
+                terms = {(comp, e): draw(coeff)}
+                for c, a in enumerate(ambient):
+                    rest = tuple(d - x for d, x in zip(deg, a))
+                    if c != comp and min(rest) >= 0 and draw(st.booleans()):
+                        terms[(c, rest)] = draw(coeff)
+                gens.append(ModuleElement(ring, rank, terms))
+                rows.append(deg)
+            elem = st.dictionaries(st.tuples(st.integers(0, rank - 1), exp), coeff, max_size=3)
+            u_gens = [ModuleElement(ring, rank, terms) for terms in draw(st.lists(elem, max_size=2))]
+            # later columns may be zero or inhomogeneous, their entries
+            # multi-term, and a block may have no columns at all
+            diffs = []
+            for _ in range(draw(st.integers(0, 3))):
+                cols = draw(st.lists(shift, max_size=3))
+                cell = st.tuples(st.integers(0, max(len(rows) - 1, 0)), exp)
+                col = st.dictionaries(cell, coeff, max_size=4 if rows else 0)
+                entries = draw(st.lists(col, min_size=len(cols), max_size=len(cols)))
+                diffs.append(GradedMatrix(ring, rows, cols, [ModuleElement(ring, len(rows), d) for d in entries]))
+                rows = cols
+            base = draw(st.sampled_from(["grevlex", "lex", "grlex"]))
+            position = draw(st.sampled_from(["pot desc", "top asc"]))
+            order = parse_order("%s %s ; %s" % (base, " ".join(ring.names), position), ring, rank)
+            return Resolution(ring, order, ambient, u_gens, gens, diffs, draw(st.booleans()))
+
+        @hyp.settings(max_examples=120)
+        @hyp.given(resolutions())
+        def check(res):
+            text = emit_resolution_file(res)
+            back = parse_resolution_file(text)
+            assert emit_resolution_file(back) == text
+            assert back.order == res.order
+            assert (back.ring, back.ambient_shifts, back.minimized) == (res.ring, res.ambient_shifts, res.minimized)
+            assert (back.u_gens, back.gens, back.diffs) == (res.u_gens, res.gens, res.diffs)
+
+        check()
+
+
+class TestMatrixBlockErrors:
+    # D1 over k[X] with three rows of two entries, then empty P and D2
+    TEXT = "n: 1\nvars: X\nD1:\nrows: (0) (0) (0)\ncols: (0) (0)\n%s\n%s\n%s\nP:\nrows:\ncols:\nD2:\nrows:\ncols:\n"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a bad entry in an earlier row than a width error
+            (("X X**2", "1 0 1", "0 1"), "parse error at position 2: expected a variable or basis factor"),
+            (("0 e3", "1 0 1", "0 X**2"), "basis index e3 exceeds rank 1"),
+            # a width error in an earlier row than any bad entry
+            (("1 1", "Q 0 1", "X**2 0"), "matrix D1 row has 3 entries, expected 2"),
+            # the first bad entry raises, wherever another one repeats
+            (("X**2 e3", "1 0", "e3 X**2"), "parse error at position 2: expected a variable or basis factor"),
+            (("e3 X", "1 X**2", "X**2 e3"), "basis index e3 exceeds rank 1"),
+            (("0 Q", "1 e3", "Q 1"), "parse error at position 0: unknown variable 'Q'"),
+        ],
+    )
+    def test_first_error_in_reading_order(self, rows, message):
+        with pytest.raises(InputError) as err:
+            parse_complex_file(self.TEXT % rows)
+        assert str(err.value) == message
+
+    def test_each_distinct_entry_parsed_once_per_block(self, monkeypatch):
+        text = emit_resolution_file(cube_resolution(QQ))
+        lines = text.splitlines()
+        bound = lines.index("D0:") - lines.index("U:") - 1
+        block = set()
+        for line in lines[lines.index("D0:"):]:
+            if line.startswith("D") and line.endswith(":"):
+                bound += len(block)
+                block = set()
+            elif not line.startswith(("rows:", "cols:")):
+                block.update(t for t in line.split() if t != "0")
+        bound += len(block)
+        calls = []
+        parse = subquo.files.parse_element
+
+        def counted(*args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(subquo.files, "parse_element", counted)
+        back = parse_resolution_file(text)
+        assert emit_resolution_file(back) == text
+        assert len(calls) <= bound
 
 
 class TestFimFile:

@@ -260,6 +260,14 @@ class TestSchreyerSyzygies:
             assert syz == []
             assert sord.lts == ()
 
+    @pytest.mark.parametrize("minimal", [False, True])
+    def test_zero_element_is_contract_violation(self, ring_xy, minimal):
+        # a syzygy over a zero element has no Schreyer lead
+        order = parse_order("grevlex X Y ; pot desc", ring_xy, 1)
+        with pytest.raises(ContractViolation) as err:
+            schreyer_syzygies(els(ring_xy, 1, ["X*e1", "0"]), order, minimal)
+        assert str(err.value) == "input is not a Groebner basis: element 2 is zero"
+
     def test_minimal_flag_filters_dominated(self, ring_xyz):
         order = parse_order("grevlex X Y Z ; pot desc", ring_xyz, 1)
         G = els(ring_xyz, 1, ["X*Y*e1", "Y*Z*e1", "X*Z*e1"])

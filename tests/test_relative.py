@@ -114,6 +114,14 @@ class TestRelativeSchreyer:
         syz, sord = relative_schreyer(h, g_u, order)
         assert fmts(syz, sord) == ["X"]
 
+    def test_zero_inner_elements_left_out(self, ring_xy):
+        order = parse_order("grevlex X Y ; pot desc", ring_xy, 1)
+        h = els(ring_xy, 1, ["Y^2*e1"])
+        syz, sord = relative_schreyer(h, els(ring_xy, 1, ["0", "X^2*e1"]), order)
+        assert fmts(syz, sord) == ["X^2"]
+        plain, plain_sord = relative_schreyer(h, els(ring_xy, 1, ["X^2*e1"]), order)
+        assert syz == plain and sord == plain_sord
+
     def test_syzygies_map_into_inner(self, ring_xy):
         order, g_u = deg5_setup(ring_xy)
         h = reduce_relative(
