@@ -52,9 +52,6 @@ class FpValue:
     def __neg__(self):
         return FpValue(-self.v, self.p)
 
-    def __abs__(self):
-        return self
-
     def __bool__(self):
         return self.v != 0
 
@@ -259,9 +256,6 @@ class ModuleElement:
                 return c
         return self.ring.field.zero
 
-    def components(self):
-        return {m[0] for m, _ in self.terms}
-
     def __add__(self, other):
         d = dict(self.terms)
         for m, c in other.terms:
@@ -304,12 +298,6 @@ class ModuleElement:
                 prev = d.get(key)
                 d[key] = c * cf if prev is None else prev + c * cf
         return ModuleElement(self.ring, self.rank, d)
-
-    def restrict(self, rank):
-        """Project onto the first `rank` components."""
-        return ModuleElement(
-            self.ring, rank, {m: c for m, c in self.terms if m[0] < rank}
-        )
 
     def pad(self, rank):
         """Reinterpret inside R^rank for a larger rank."""
@@ -430,10 +418,10 @@ def parse_element(text, ring, rank=None):
         else:
             raise InputError("parse error at position %d: expected '+' or '-'" % pos)
         i += 1
-    max_comp = max((c for c, _, _ in raw if c is not None), default=None)
+    max_comp = max(0 if c is None else c for c, _, _ in raw)
     if rank is None:
-        rank = 1 if max_comp is None else max_comp + 1
-    elif max_comp is not None and max_comp >= rank:
+        rank = max_comp + 1
+    elif max_comp >= rank:
         raise InputError("basis index e%d exceeds rank %d" % (max_comp + 1, rank))
     d = {}
     for comp, exp, coeff in raw:

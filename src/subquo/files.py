@@ -156,7 +156,9 @@ def parse_module_file(text, order_text=None, field_text=None):
         try:
             rank = int(headers["rank"])
         except ValueError:
-            raise InputError("bad 'rank:' header %r" % headers["rank"]) from None
+            rank = -1
+        if rank < 0:
+            raise InputError("bad 'rank:' header %r" % headers["rank"])
     if rank is None:
         parsed = [parse_element(r, ring) for r in raws]
         rank = max((e.rank for e in parsed), default=1)

@@ -11,7 +11,7 @@ from collections import deque
 
 from .elements import ModuleElement, exp_sub
 from .errors import ContractViolation, InputError
-from .graded import GradedMatrix, _axpy, deg_join, deg_leq, normalize_shifts
+from .graded import GradedMatrix, _axpy, deg_join, deg_leq
 from .relative import relative_division
 
 
@@ -85,24 +85,12 @@ class FreeInjectiveMatrix:
         return "FreeInjectiveMatrix(%dx%d)" % (self.nrows, self.ncols)
 
 
-def fi_normalize(mat):
-    """Zero out entries violating the support condition beta_j <= alpha_i."""
-    bad = set(mat.support_violations())
-    zero = mat.ring.field.zero
-    rows = [
-        [zero if (i, j) in bad else mat.entries[i][j] for j in range(mat.ncols)]
-        for i in range(mat.nrows)
-    ]
-    return FreeInjectiveMatrix(mat.ring, mat.alpha, mat.beta, rows)
-
-
 def _require_supported(mat):
     bad = mat.support_violations()
     if bad:
         i, j = bad[0]
         raise ContractViolation(
-            "entry (%d,%d) violates the support condition; normalize the matrix first"
-            % (i + 1, j + 1)
+            "entry (%d,%d) violates the support condition" % (i + 1, j + 1)
         )
 
 
@@ -241,13 +229,3 @@ def free_presentation(mat, order):
             out.append(sig)
             out_deg.append(lam)
     return GradedMatrix(ring, mat.beta, out_deg, out)
-
-
-def matlis_transpose(mat):
-    """Transpose swapping generator and cogenerator roles, with degrees reflected."""
-    raw_alpha = [tuple(-x for x in b) for b in mat.beta]
-    raw_beta = [tuple(-x for x in a) for a in mat.alpha]
-    groups, _ = normalize_shifts([raw_alpha, raw_beta])
-    alpha, beta = groups
-    rows = [[mat.entries[i][j] for i in range(mat.nrows)] for j in range(mat.ncols)]
-    return FreeInjectiveMatrix(mat.ring, alpha, beta, rows)

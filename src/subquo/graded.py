@@ -66,20 +66,6 @@ def monomialize(f, shifts):
     )
 
 
-def normalize_shifts(groups):
-    """Translate lists of degree tuples so every coordinate minimum is zero.
-
-    groups is a list of tuples/lists of degrees; all are translated by the
-    same vector and returned in the same shape, followed by the offset used.
-    """
-    alldegs = [d for g in groups for d in g]
-    if not alldegs:
-        return [tuple(g) for g in groups], None
-    n = len(alldegs[0])
-    off = tuple(-min(d[k] for d in alldegs) for k in range(n))
-    return [tuple(exp_add(d, off) for d in g) for g in groups], off
-
-
 def degrees_in_box(lo, hi):
     """Iterate degree tuples in a box, first coordinate varying fastest."""
     if not deg_leq(lo, hi):
@@ -304,22 +290,6 @@ class GradedMatrix:
         except ContractViolation:
             return False
         return True
-
-    def degree_matrix(self, a):
-        """Rows-over-field matrix of the degree-a piece of the map.
-
-        Returns (rows, dom_index, cod_index): dom_index and cod_index list the
-        components of the domain and codomain with a basis monomial in degree a.
-        """
-        cols = self._scalar_columns()
-        cod = [i for i, s in enumerate(self.row_shifts) if deg_leq(s, a)]
-        dom = [j for j, (s, _) in enumerate(cols) if deg_leq(s, a)]
-        pos = {i: r for r, i in enumerate(cod)}
-        rows = [[self.ring.field.zero] * len(dom) for _ in cod]
-        for cidx, j in enumerate(dom):
-            for i, c in cols[j][1].items():
-                rows[pos[i]][cidx] = c
-        return rows, dom, cod
 
     def degree_ranks(self, lo, hi):
         """Exact ranks of the degree-a pieces of the map, for each a in

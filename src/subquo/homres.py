@@ -83,10 +83,7 @@ class Resolution:
 
 def _inner_basis(u_gens, order):
     """Reduced Groebner basis of the inner submodule."""
-    live = [g for g in u_gens if not g.is_zero]
-    if not live:
-        return []
-    return reduce_groebner(buchberger(live, order), order)
+    return reduce_groebner(buchberger(u_gens, order), order)
 
 
 def _graded_inner_basis(u_gens, order, shifts):
@@ -159,8 +156,8 @@ def _resolve(ring, v_gens, g_u, order, aorder, shifts, length):
 def prune_minimize(res):
     """Minimize a resolution by cancelling constant entries, then dropping
     redundant columns of the last differential and normalizing leads (a
-    zero column has none and is left as it is). Every differential must be
-    homogeneous, which is checked before any cancellation.
+    zero column has none and is left as it is). Every generator and every
+    differential must be homogeneous, which is checked before any cancellation.
 
     A free component of shift s holds one monomial per fine degree (see
     graded._box_ranks), so a homogeneous column is its scalar vector
@@ -192,6 +189,9 @@ def prune_minimize(res):
     it lies in the span of the earlier ones. That pass leaves nothing to drop.
     """
     ring = res.ring
+    for j, g in enumerate(res.gens):
+        if not is_homogeneous(g, res.ambient_shifts):
+            raise ContractViolation("generator %d is not homogeneous" % (j + 1))
     sparse = []
     for idx, d in enumerate(res.diffs):
         try:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -754,6 +755,26 @@ class TestBases:
         one = self._module(tmp_path, "one.mod", ["X^2*e1"])
         assert run_cli(monkeypatch, capsys, "relsyz", one, empty) == (0, want, "")
 
+    @pytest.mark.parametrize(
+        "rank, element, err",
+        [
+            (0, "X", "Error: basis index e1 exceeds rank 0\n"),
+            (-1, "X", "Error: bad 'rank:' header '-1'\n"),
+            (-2, "0", "Error: bad 'rank:' header '-2'\n"),
+        ],
+        ids=["zero", "negative", "negative-empty"],
+    )
+    def test_rank_header_below_the_elements_is_input_error(self, rank, element, err, tmp_path, monkeypatch, capsys):
+        bad = self._module(tmp_path, "bad.mod", [element], rank=rank)
+        assert run_cli(monkeypatch, capsys, "gb", bad) == (1, "", err)
+
+    def test_gb_reads_the_empty_syzygy_module(self, tmp_path, monkeypatch, capsys):
+        # syz prints rank 0 for an empty basis, and that file is valid input
+        syz = tmp_path / "syz.mod"
+        syz.write_text(run_cli(monkeypatch, capsys, "syz", self._module(tmp_path, "empty.mod", ["0"]))[1])
+        want = "n: 2\nvars: X Y\nfield: q\nrank: 0\norder: grevlex X Y ; pot desc\nelements:\n0\n"
+        assert run_cli(monkeypatch, capsys, "gb", str(syz)) == (0, want, "")
+
     def test_relsyz_accepts_relative_basis(self, files, tmp_path, monkeypatch, capsys):
         h = tmp_path / "h.mod"
         h.write_text(
@@ -853,6 +874,26 @@ class TestResolutions:
         res.write_text(INHOMOGENEOUS_RES)
         code, out, err = run_cli(monkeypatch, capsys, command, str(res))
         assert (code, out, err) == (2, "", "Error: differential 1 is not homogeneous\n")
+
+    # D0's generator X+Y is not homogeneous: minimize and betti reject it before
+    # pruning anything, and verify reports it
+    INHOMOGENEOUS_GEN_RES = (
+        "n: 2\nvars: X Y\nfield: q\norder: grevlex X Y ; pot desc\nambient: (0,0)\nminimized: false\nU:\n"
+        "D0:\nrows: (0,0)\ncols: (1,0) (0,1)\nX+Y Y\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, want",
+        [
+            ("minimize", (2, "", "Error: generator 1 is not homogeneous\n")),
+            ("betti", (2, "", "Error: generator 1 is not homogeneous\n")),
+            ("verify", (2, "element <Y+X> is not homogeneous\n", "")),
+        ],
+    )
+    def test_inhomogeneous_generator_is_contract_violation(self, command, want, tmp_path, monkeypatch, capsys):
+        res = tmp_path / "inhomogeneous-gen.res"
+        res.write_text(self.INHOMOGENEOUS_GEN_RES)
+        assert run_cli(monkeypatch, capsys, command, str(res)) == want
 
     @pytest.mark.parametrize("command", ["verify", "minimize", "betti"])
     def test_zero_generator_is_input_error(self, command, tmp_path, monkeypatch, capsys):
@@ -1307,6 +1348,50 @@ class TestTracerContract:
             for part in name.split("."):
                 obj = getattr(obj, part, None)
             assert callable(obj), "subquo.%s.%s" % (mod, name)
+
+
+class TestDeadCode:
+    """Every top-level function and class of src/subquo, and every method that
+    is not a dunder, is named on another src line, in README.md or in the
+    tracer's SPANS. The reference implementations that tests compare against
+    are kept without such a use, and listed here."""
+
+    ORACLES = {"mon_divides", "matrix_rank", "from_entries", "s_polynomial"}
+
+    def test_every_library_name_is_used(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.join(root, "src", "subquo")
+        defs, seen = [], {}  # seen: word -> {(file, line number)}
+        for fname in sorted(f for f in os.listdir(src) if f.endswith(".py") and f != "__init__.py"):
+            with open(os.path.join(src, fname)) as fh:
+                text = fh.read()
+            for no, line in enumerate(text.splitlines(), 1):
+                for word in re.findall(r"\w+", line):
+                    seen.setdefault(word, set()).add((fname, no))
+            for node in ast.parse(text).body:
+                if isinstance(node, ast.ClassDef):
+                    defs += [
+                        (fname, f) for f in node.body
+                        if isinstance(f, ast.FunctionDef) and not (f.name.startswith("__") and f.name.endswith("__"))
+                    ]
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    defs.append((fname, node))
+        with open(os.path.join(root, "README.md")) as fh:
+            documented = set(re.findall(r"\w+", fh.read()))
+        with open(os.path.join(root, "perfbench", "layers.py")) as fh:
+            tree = ast.parse(fh.read())
+        spans = next(
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SPANS"
+        )
+        named = documented | self.ORACLES | {part for fns in spans.values() for name in fns for part in name.split(".")}
+        unused = [
+            "%s:%d %s" % (fname, node.lineno, node.name)
+            for fname, node in defs
+            if node.name not in named and not seen[node.name] - {(fname, node.lineno)}
+        ]
+        assert unused == []
 
 
 def test_cli_does_not_import_click():

@@ -10,12 +10,11 @@ from subquo.errors import ContractViolation, InputError
 from subquo.flange import (
     FreeInjectiveMatrix,
     buchberger_flange,
-    fi_normalize,
     free_presentation,
     is_groebner_form,
-    matlis_transpose,
     monomial_division,
 )
+from subquo.graded import deg_leq
 from subquo.groebner import normal_form, s_polynomial
 from subquo.orders import parse_order
 
@@ -65,14 +64,6 @@ class TestSupport:
     def test_violations_found(self, ring2):
         bad = FreeInjectiveMatrix(ring2, [(1, 0)], [(0, 1)], qgrid(QQ, [[1]]))
         assert bad.support_violations() == [(0, 0)]
-
-    def test_normalize_zeroes_violators(self, ring2):
-        bad = FreeInjectiveMatrix(
-            ring2, [(1, 0), (1, 1)], [(0, 1)], qgrid(QQ, [[1], [1]])
-        )
-        fixed = fi_normalize(bad)
-        assert fixed.support_violations() == []
-        assert fixed.entries == ((QQ.zero,), (QQ.one,))
 
     def test_unsupported_matrix_rejected(self, ring2, order):
         bad = FreeInjectiveMatrix(ring2, [(1, 0)], [(0, 1)], qgrid(QQ, [[1]]))
@@ -154,18 +145,6 @@ class TestFreePresentation:
         assert free_presentation(fim_small_completed(ring2), order).is_homogeneous()
 
 
-class TestMatlisTranspose:
-    def test_frozen_transpose(self, ring2):
-        mt = matlis_transpose(fim_small(ring2))
-        assert mt.alpha == ((1, 1), (2, 0))
-        assert mt.beta == ((1, 0), (0, 0))
-        assert mt.entries == ((QQ.one, QQ.one), (QQ.zero, QQ.one))
-
-    def test_double_transpose(self, ring2):
-        mat = fim_small(ring2)
-        assert matlis_transpose(matlis_transpose(mat)) == mat
-
-
 class TestMonomialDivision:
     def test_column_multiple_reduces_to_zero(self, ring2, order):
         done = fim_small_completed(ring2)
@@ -205,8 +184,8 @@ class TestScalarColumns:
             alpha = draw(st.lists(deg, min_size=1, max_size=4))
             beta = draw(st.lists(deg, min_size=1, max_size=4))
             entry = st.integers(-2, 2).map(ring.field.from_int)
-            rows = [draw(st.lists(entry, min_size=len(beta), max_size=len(beta))) for _ in alpha]
-            mat = fi_normalize(FreeInjectiveMatrix(ring, alpha, beta, rows))
+            rows = [[draw(entry) if deg_leq(b, a) else ring.field.zero for b in beta] for a in alpha]
+            mat = FreeInjectiveMatrix(ring, alpha, beta, rows)
             comps = draw(st.sampled_from(["asc", "desc", "permutation"]))
             if comps == "permutation":
                 comps = " ".join(str(c + 1) for c in draw(st.permutations(range(len(alpha)))))

@@ -20,7 +20,6 @@ from subquo.graded import (
     is_homogeneous,
     matrix_rank,
     monomialize,
-    normalize_shifts,
     nullspace_basis,
     parse_degree,
     presentation_dimension,
@@ -111,16 +110,6 @@ class TestMonomialize:
 
 
 class TestShiftsAndBoxes:
-    def test_normalize_translates_to_zero(self):
-        groups, off = normalize_shifts([[(-1, 2), (0, 0)], [(3, -2)]])
-        assert groups == [((0, 4), (1, 2)), ((4, 0),)]
-        assert off == (1, 2)
-
-    def test_normalize_empty(self):
-        groups, off = normalize_shifts([[], []])
-        assert groups == [(), ()]
-        assert off is None
-
     def test_box_order_first_coordinate_fastest(self):
         assert list(degrees_in_box((0, 0), (3, 2))) == BOX32
 
@@ -350,13 +339,6 @@ class TestGradedMatrix:
             ring2, ((0, 0),), ((1, 0),), scalar_grid(ring2, [["X2"]])
         )
         assert not bad.is_homogeneous()
-
-    def test_degree_matrix_frozen(self, ring2):
-        mat = pruned_presentation(ring2)
-        rows, dom, cod = mat.degree_matrix((1, 2))
-        assert dom == [0, 2]
-        assert cod == [0, 1]
-        assert rows == qgrid(QQ, [[1, 0], [0, 1]])
 
     def test_degree_rank_frozen(self, ring2):
         mat = pruned_presentation(ring2)
