@@ -1,5 +1,6 @@
 """Coefficient fields, polynomial rings and exact module elements."""
 
+import operator
 import re
 from fractions import Fraction
 
@@ -194,22 +195,22 @@ class Ring:
 
 def exp_add(a, b):
     """Componentwise sum of exponent tuples."""
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def exp_sub(a, b):
     """Componentwise difference of exponent tuples."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def exp_divides(a, b):
     """Return True if X^a divides X^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def exp_lcm(a, b):
     """Componentwise maximum of exponent tuples."""
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mon_divides(m1, m2):

@@ -123,16 +123,22 @@ def _read_matrix_block(cur, ring, name):
 
 
 def _emit_matrix_block(out, mat, name):
+    """Write a matrix block as _read_matrix_block reads it; each distinct
+    nonzero cell, keyed by its sorted terms, is formatted once."""
     out.append(name + ":")
     out.append("rows: " + " ".join(format_degree(s) for s in mat.row_shifts))
     out.append("cols: " + " ".join(format_degree(s) for s in mat.col_shifts))
     grid = [["0"] * mat.ncols for _ in range(mat.nrows)] if mat.ncols else []
+    texts = {}
     for j, col in enumerate(mat.cols):
         cells = {}
         for (i, e), c in col.terms:
-            cells.setdefault(i, {})[(0, e)] = c
+            cells.setdefault(i, []).append(((0, e), c))
         for i, cell in cells.items():
-            grid[i][j] = format_element(ModuleElement(mat.ring, 1, cell))
+            cell = tuple(cell)
+            if cell not in texts:
+                texts[cell] = format_element(ModuleElement(mat.ring, 1, dict(cell)))
+            grid[i][j] = texts[cell]
     out.extend(" ".join(row) for row in grid)
 
 

@@ -10,7 +10,7 @@ from .groebner import (
     _divide, _index, buchberger, buchberger_transform, minimal_groebner, minimal_transform, reduce_groebner,
     schreyer_syzygies,
 )
-from .orders import default_order
+from .orders import SchreyerOrder, default_order
 from .relative import reduce_relative, relative_buchberger, relative_schreyer
 
 
@@ -135,22 +135,83 @@ def free_resolution(v_gens, u_gens, order, shifts=None, length=None):
 
 def _resolve(ring, v_gens, g_u, order, aorder, shifts, length):
     """free_resolution over the graded inner basis g_u, with aorder the
-    order at the rank of the ambient free module."""
+    order at the rank of the ambient free module. Once h is checked to be
+    homogeneous, every column is so by construction, so each level past the
+    first comes from _level_syzygies."""
     h = reduce_relative(relative_buchberger(v_gens, g_u, aorder), g_u, aorder)
     res = Resolution(ring, order, shifts, g_u, h, [])
     if not h:
         return res
-    cols, sord = relative_schreyer(h, g_u, aorder)
     cur_shifts = [element_degree(x, shifts) for x in h]
+    cols, sord = relative_schreyer(h, g_u, aorder)
+    degs = [element_degree(c, cur_shifts) for c in cols]
     limit = ring.n + 1 if length is None else length
     while cols and len(res.diffs) < limit:
-        cdeg = [element_degree(c, cur_shifts) for c in cols]
-        res.diffs.append(GradedMatrix(ring, cur_shifts, cdeg, cols))
-        cur_shifts = cdeg
+        res.diffs.append(GradedMatrix(ring, cur_shifts, degs, cols))
         if len(res.diffs) == limit:
             break
-        cols, sord = schreyer_syzygies(cols, sord, minimal=True)
+        cur_shifts, (cols, degs, sord) = degs, _level_syzygies(cols, degs, cur_shifts, sord, shifts)
     return res
+
+
+def _level_syzygies(cols, degs, shifts, sord, ambient_shifts):
+    """schreyer_syzygies(cols, sord, minimal=True), term for term, on the
+    scalar vectors {c: coeff} of homogeneous columns of degrees degs over
+    components of degrees shifts (a component of shift s holds only
+    x^(d - s) in degree d; see graded._box_ranks). Component c of flat lift
+    (b, s_c, ties) (sord._flat) has degree ambient_shifts[b] + s_c, so in
+    degree d its key is (base key of (b, d - ambient_shifts[b]), ties), the
+    base part cached per (b, d). Pair (i, j) lives at lam = deg_join(d_i,
+    d_j); its syzygy's lead x^(lam - d_i) e_i has the base key of the pair's
+    lead component at lam, and divides another lead of i when its lam is <=
+    the other's, so _schreyer's sort and pick take one key per pair. A picked
+    pair is reduced as v_i/lc_i - v_j/lc_j at lam, each step by _divide's
+    divisor, the first column k in basis order of the step's lead component
+    with d_k <= lam; those components fall below the pair's, so no k repeats.
+    Returns the next level's (columns, degrees, Schreyer order).
+    """
+    ring, base, flat = cols[0].ring, sord._base, sord._flat
+    one = ring.field.one
+    vecs = [{c: a for (c, _), a in col.terms} for col in cols]
+    base_keys = {}
+
+    def rank(c, lam):  # the flat Schreyer key of component c in degree lam
+        b, _, ties = flat[c]
+        k = base_keys.get((b, lam))
+        if k is None:
+            k = base_keys[b, lam] = base.key((b, exp_sub(lam, ambient_shifts[b])))
+        return k, ties
+
+    leads = [max(v, key=lambda c: rank(c, d)) for v, d in zip(vecs, degs)]
+    index, pairs = {}, []
+    for j, c in enumerate(leads):
+        for i in index.get(c, ()):
+            lam = deg_join(degs[i], degs[j])
+            pairs.append((i, rank(c, lam)[0], j, lam))
+        index.setdefault(c, []).append(j)
+    pairs.sort()
+    kept = {}  # i -> the lams of its picked pairs
+    out_cols, out_degs = [], []
+    for i, _, j, lam in pairs:
+        lams = kept.setdefault(i, [])
+        if any(deg_leq(m, lam) for m in lams):
+            continue
+        lams.append(lam)
+        sig = {i: one / vecs[i][leads[i]], j: -one / vecs[j][leads[j]]}
+        work = {c: sig[i] * a for c, a in vecs[i].items()}
+        _axpy(work, sig[j], vecs[j])
+        while work:
+            r = max(work, key=lambda c: rank(c, lam))
+            k = next((k for k in index.get(r, ()) if deg_leq(degs[k], lam)), None)
+            if k is None:
+                msg = "input is not a Groebner basis: S-polynomial of elements %d and %d does not reduce to zero"
+                raise ContractViolation(msg % (i + 1, j + 1))
+            sig[k] = -work[r] / vecs[k][r]
+            _axpy(work, sig[k], vecs[k])
+        out_cols.append(ModuleElement(ring, len(cols), {(k, exp_sub(lam, degs[k])): a for k, a in sig.items()}))
+        out_degs.append(lam)
+    lts = tuple((c, exp_sub(d, shifts[c])) for c, d in zip(leads, degs))
+    return out_cols, out_degs, SchreyerOrder(lts, sord)
 
 
 def prune_minimize(res):

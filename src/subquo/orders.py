@@ -1,5 +1,7 @@
 """Monomial orders on free modules: base orders, POT/TOP extensions, Schreyer orders."""
 
+from operator import itemgetter, neg
+
 from .elements import exp_add
 from .errors import InputError
 
@@ -9,22 +11,25 @@ _BASE_KINDS = ("lex", "grlex", "grevlex")
 class BaseOrder:
     """Monomial order on ring monomials with a variable priority permutation."""
 
-    __slots__ = ("kind", "asc", "_desc")
+    __slots__ = ("kind", "asc", "_pick")
 
     def __init__(self, kind, asc):
         if kind not in _BASE_KINDS:
             raise InputError("unknown base order %r" % kind)
         self.kind = kind
         self.asc = tuple(asc)
-        self._desc = tuple(reversed(self.asc))
+        # the exponents a key compares, as a tuple (itemgetter of one index
+        # gives a bare int, so one variable takes a slice)
+        perm = self.asc if kind == "grevlex" else self.asc[::-1]
+        self._pick = itemgetter(*perm) if len(perm) > 1 else itemgetter(slice(perm[0], perm[0] + 1))
 
     def key(self, exp):
         """Ascending sort key for an exponent tuple."""
         if self.kind == "lex":
-            return tuple(exp[v] for v in self._desc)
+            return self._pick(exp)
         if self.kind == "grlex":
-            return (sum(exp), tuple(exp[v] for v in self._desc))
-        return (sum(exp), tuple(-exp[v] for v in self.asc))
+            return (sum(exp), self._pick(exp))
+        return (sum(exp), tuple(map(neg, self._pick(exp))))
 
     def __eq__(self, other):
         return isinstance(other, BaseOrder) and self.kind == other.kind and self.asc == other.asc

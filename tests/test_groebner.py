@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from subquo import groebner, homres, relative
 from subquo import (
     ContractViolation,
     ModuleElement,
@@ -653,14 +654,17 @@ class TestDivisionOracle:
 
 
 def test_resolution_leading_work_is_pinned(monkeypatch):
-    """ModuleElement.leading calls while resolving m^2/m^5 over k[X, Y, Z].
+    """ModuleElement.leading and groebner._divide calls while resolving
+    m^2/m^5 over k[X, Y, Z].
 
-    Division reads divisor leads from one index per basis instead of
-    recomputing them per call (175,890 calls without the index), and the
-    minimal Schreyer pass reads each syzygy's lead off its pair's cofactors
-    instead of lifting every pair and scanning its syzygy (7,182 calls), so
-    a change here means some leading-term work came back or went away. The
-    count is deterministic.
+    Division reads divisor leads from one index per basis (175,890 leading
+    calls without it), the minimal Schreyer pass reads each syzygy's lead off
+    its pair's cofactors (7,182 calls when every pair was lifted), and every
+    level past the first is lifted on scalar columns, with no ModuleElement
+    lead or division at all (2,357 leading and 439 _divide calls while those
+    levels ran the general Schreyer pass). Only the relative basis and its
+    first syzygies divide. A change here means some leading-term or division
+    work came back or went away. The counts are deterministic.
     """
     ring = Ring(3, QQ, ("X", "Y", "Z"))
     order = parse_order("grevlex X Y Z ; pot desc", ring, 1)
@@ -669,14 +673,20 @@ def test_resolution_leading_work_is_pinned(monkeypatch):
         exps = sorted((e for e in product(range(d + 1), repeat=3) if sum(e) == d), reverse=True)
         return [ModuleElement.monomial(ring, 1, 0, e) for e in exps]
 
-    calls = [0]
-    leading = ModuleElement.leading
+    calls = {"leading": 0, "divide": 0}
+    leading, divide_ = ModuleElement.leading, groebner._divide
 
-    def counted(self, order):
-        calls[0] += 1
+    def counted_leading(self, order):
+        calls["leading"] += 1
         return leading(self, order)
 
-    monkeypatch.setattr(ModuleElement, "leading", counted)
+    def counted_divide(*args):
+        calls["divide"] += 1
+        return divide_(*args)
+
+    monkeypatch.setattr(ModuleElement, "leading", counted_leading)
+    for module in (groebner, relative, homres):  # every module that binds _divide
+        monkeypatch.setattr(module, "_divide", counted_divide)
     res = free_resolution(power(2), power(5), order)
     assert [len(res.gens)] + [d.ncols for d in res.diffs] == [6, 141, 327, 270, 78]
-    assert calls[0] == 2357
+    assert calls == {"leading": 813, "divide": 39}

@@ -30,6 +30,7 @@ from subquo.homres import (
     verify_complex,
 )
 from subquo.orders import parse_order
+from subquo.relative import reduce_relative, relative_buchberger, relative_schreyer
 
 from conftest import (
     R2_U,
@@ -77,6 +78,74 @@ def subquotients(st):
         return v, u, parse_order("grevlex %s ; pot desc" % " ".join(ring.names), ring, rank)
 
     return draw_case()
+
+
+def graded_subquotients(st):
+    """Strategy of finite-length subquotients (v, u, order, shifts) for the
+    fine grading of nonzero ambient shifts, over q, fp:32003 and fp:5, with
+    ranks 1-3 and every base order, extension and component direction. With
+    deep, V holds all of m^a in some components, so most resolutions reach
+    three or more differentials."""
+
+    @st.composite
+    def draw_case(draw, deep):
+        field = parse_field(draw(st.sampled_from(["q", "fp:32003", "fp:5"])))
+        n, rank = draw(st.integers(2, 3)), draw(st.integers(1, 3 if deep else 2))
+        ring = Ring(n, field, ("X", "Y", "Z")[:n])
+        shifts = tuple(draw(st.tuples(*[st.integers(0, 2)] * n)) for _ in range(rank))
+        coeff = st.sampled_from([1, -1, 2, -3, 4]).map(field.from_int)
+        top = 2 if n == 2 else 1
+        a = draw(st.integers(1, top))
+        b = a + draw(st.integers(1, 2))
+
+        def exps(d):
+            return [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+
+        def element(d):
+            # x^(D - s_c) e_c for each drawn component c with s_c <= D, for
+            # D = e + s_c0: homogeneous of degree D
+            c0 = draw(st.integers(0, rank - 1))
+            deg = tuple(map(sum, zip(draw(st.sampled_from(exps(d))), shifts[c0])))
+            comps = [c0] + [c for c in range(rank) if c != c0 and deg_leq(shifts[c], deg) and draw(st.booleans())]
+            return ModuleElement(ring, rank, {(c, tuple(x - y for x, y in zip(deg, shifts[c]))): draw(coeff) for c in comps})
+
+        # U holds m^b in every component, so V/U has finite length
+        u = [ModuleElement(ring, rank, {(c, e): field.one}) for e in exps(b) for c in range(rank)]
+        u += [element(b - 1) for _ in range(draw(st.integers(0, 2)))]
+        if deep:
+            comps = draw(st.sets(st.integers(0, rank - 1), min_size=1))
+            v = [ModuleElement(ring, rank, {(c, e): field.one}) for e in exps(a) for c in sorted(comps)]
+        else:
+            v = [element(draw(st.integers(0, a))) for _ in range(draw(st.integers(1, 3)))]
+        names = " ".join(draw(st.permutations(ring.names)))
+        kind = draw(st.sampled_from(["lex", "grlex", "grevlex"]))
+        ext = "%s %s" % (draw(st.sampled_from(["pot", "top"])), draw(st.sampled_from(["asc", "desc"])))
+        return v, u, parse_order("%s %s ; %s" % (kind, names, ext), ring, rank), shifts
+
+    return draw_case
+
+
+def general_schreyer_resolution(v, u, order, shifts):
+    """free_resolution with every level past the first lifted by the general
+    schreyer_syzygies(cols, sord, minimal=True) pass, the reference for the
+    scalar levels of homres._level_syzygies."""
+    ring, rank = u[0].ring, u[0].rank
+    aorder = order.for_rank(rank)
+    g_u = homres._graded_inner_basis(u, aorder, shifts)
+    h = reduce_relative(relative_buchberger(v, g_u, aorder), g_u, aorder)
+    res = Resolution(ring, order, shifts, g_u, h, [])
+    if not h:
+        return res
+    cols, sord = relative_schreyer(h, g_u, aorder)
+    cur_shifts = [element_degree(x, shifts) for x in h]
+    while cols:
+        cdeg = [element_degree(c, cur_shifts) for c in cols]
+        res.diffs.append(GradedMatrix(ring, cur_shifts, cdeg, cols))
+        cur_shifts = cdeg
+        if len(res.diffs) == ring.n + 1:
+            break
+        cols, sord = groebner.schreyer_syzygies(cols, sord, minimal=True)
+    return res
 
 
 def staircase_resolution(ring2, order2):
@@ -287,6 +356,35 @@ class TestFreeResolution:
         plain = free_resolution(els(ring_xy, 1, ["X^2*e1", "X*Y*e1"]), u, order)
         assert (mixed.gens, mixed.diffs) == (plain.gens, plain.diffs)
         assert verify_complex(mixed)[0]
+
+
+class TestScalarLevels:
+    @pytest.mark.parametrize("deep", [False, True], ids=["random", "deep"])
+    def test_levels_match_the_general_schreyer_pass(self, deep):
+        hyp = pytest.importorskip("hypothesis")
+        depths = []
+
+        @hyp.settings(max_examples=60 if deep else 200)
+        @hyp.given(graded_subquotients(hyp.strategies)(deep))
+        def check(case):
+            v, u, order, shifts = case
+            res = free_resolution(v, u, order, shifts)
+            assert emit_resolution_file(res) == emit_resolution_file(general_schreyer_resolution(v, u, order, shifts))
+            depths.append(len(res.diffs))
+
+        check()
+        if deep:
+            assert sum(k >= 3 for k in depths) * 4 >= len(depths) * 3
+
+    def test_inhomogeneous_relative_basis_rejected_before_syzygies(self, ring_xy, monkeypatch):
+        def never(*args):
+            raise AssertionError("syzygy work started")
+
+        monkeypatch.setattr(homres, "relative_schreyer", never)
+        order = parse_order("grevlex X Y ; pot desc", ring_xy, 1)
+        u = els(ring_xy, 1, ["X^3*e1", "Y^3*e1"])
+        with pytest.raises(InputError, match=r"element <Y\^2\+X> is not homogeneous"):
+            free_resolution(els(ring_xy, 1, ["X*e1+Y^2*e1"]), u, order)
 
 
 class TestPruneMinimize:
