@@ -10,7 +10,7 @@ from .homres import Resolution, VectorDiagram
 from .orders import default_order, format_order, parse_order
 
 _HEADER_KEYS = ("n", "vars", "field", "order", "rank", "ambient", "minimized", "cogens", "gens", "box")
-_HEADER_RE = re.compile(r"^(%s):\s*(\S.*)$" % "|".join(_HEADER_KEYS))
+_HEADER_RE = re.compile(r"^(%s):(.*)$" % "|".join(_HEADER_KEYS))
 
 
 def _read_lines(text):
@@ -55,6 +55,8 @@ def _open(text, field_text):
         key, value = m.group(1), m.group(2).strip()
         if key in headers:
             raise InputError("duplicate header %r" % key)
+        if not value:
+            raise InputError("empty %r header" % (key + ":"))
         headers[key] = value
         cur.next()
     if "n" not in headers:

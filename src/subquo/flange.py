@@ -11,7 +11,7 @@ from collections import deque
 
 from .elements import ModuleElement, exp_sub
 from .errors import ContractViolation, InputError
-from .graded import GradedMatrix, _axpy, deg_join, deg_leq
+from .graded import GradedMatrix, _axpy, _reduce_at, deg_join, deg_leq
 from .relative import relative_division
 
 
@@ -107,64 +107,51 @@ def _flange_pairs(mat, order, grow=False):
     Yields (name, lam, rem, sig). ("cc", j1, j2) pairs two columns with the
     same leading row, j2 outer; then ("ct", i, j, k) pairs column j with the
     cofree relation of row i for variable k, j outer. Each S-polynomial is a
-    scalar column at one degree lam, and is divided on {row: coefficient}
-    vectors exactly as divide(sp, cofree + columns, order) would divide it:
-    - every term of sp and of each X^(lam - beta_j) * column j has exponent
-      lam, so the module order ranks terms by row alone (the comp_rank of
-      order.for_rank(nrows), under POT and TOP alike);
-    - the cofree relations come first among the divisors, and some relation
-      of row r divides the leading term (r, lam) exactly when lam is not
-      <= alpha_r; that step only removes the entry;
-    - otherwise the first column with leading row r and beta_j <= lam
-      reduces it, the divisor divide would choose.
-    So rem, the remainder {row: coefficient}, and sig, which maps column j
-    to the coefficient of X^(lam - beta_j) in the pair's syzygy (its own
-    terms minus the column quotients), are those of the general division.
-    With grow, column pairs come j1 outer, and each nonzero remainder is
-    appended as the column X^lam * rem, whose pairs are queued next.
+    scalar column at one degree lam, which graded._reduce_at, ranking rows by
+    the comp_rank of order.for_rank(nrows) and capped by alpha, divides as
+    divide(sp, cofree + columns, order) would: every term of sp and of each
+    X^(lam - beta_j) * column j has exponent lam, so the module order ranks
+    terms by row alone, under POT and TOP alike; and the cofree relations
+    come first among the divisors, some relation of row r dividing the term
+    (r, lam) exactly when lam is not <= alpha_r. So the remainder rem and
+    sig, which maps column j to the coefficient of X^(lam - beta_j) in the
+    pair's syzygy, are those of the general division. With grow, column
+    pairs come j1 outer, and each nonzero remainder is appended as the
+    column X^lam * rem, whose pairs are queued next.
     """
     alpha, s, n, one = mat.alpha, mat.nrows, mat.ring.n, mat.ring.field.one
-    rank = order.for_rank(s).comp_rank
+    rank = order.for_rank(s).comp_rank.__getitem__
     beta = list(mat.beta)
     cols = [{i: row[j] for i, row in enumerate(mat.entries) if row[j]} for j in range(mat.ncols)]
-    leads = [max(v, key=rank.__getitem__) if v else None for v in cols]
-    pairs = [(a, b) for b in range(len(cols)) for a in range(b)]
-    queue = deque(("cc", a, b) for a, b in (sorted(pairs) if grow else pairs))
+    leads = [max(v, key=rank) if v else None for v in cols]
+    index, pairs = {}, []  # index: leading row -> its columns, in order
+    for j, r in enumerate(leads):
+        if r is not None:
+            pairs.extend(("cc", d, j) for d in index.get(r, ()))
+            index.setdefault(r, []).append(j)
+    queue = deque(sorted(pairs) if grow else pairs)
     queue.extend(("ct", i, j, k) for j in range(len(cols)) for i in range(s) for k in range(n))
     while queue:
         name = queue.popleft()
         if name[0] == "cc":
             _, j1, j2 = name
-            if leads[j1] is None or leads[j1] != leads[j2]:
-                continue
             lam = deg_join(beta[j1], beta[j2])
-            ratio = cols[j1][leads[j1]] / cols[j2][leads[j2]]
+            ratio = cols[j1][leads[j1]] / cols[j2][leads[j1]]
             vec, sig = dict(cols[j1]), {j1: one, j2: -ratio}
             _axpy(vec, -ratio, cols[j2])
         else:
             _, i, j, k = name
             lam = deg_join(beta[j], tuple(alpha[i][k] + 1 if v == k else 0 for v in range(n)))
             vec, sig = {r: c for r, c in cols[j].items() if r != i}, {j: one}
-        rem = {}
-        while vec:
-            r = max(vec, key=rank.__getitem__)
-            if not deg_leq(lam, alpha[r]):
-                del vec[r]
-                continue
-            d = next((d for d, ld in enumerate(leads) if ld == r and deg_leq(beta[d], lam)), None)
-            if d is None:
-                rem[r] = vec.pop(r)
-                continue
-            q = vec[r] / cols[d][r]
-            _axpy(vec, -q, cols[d])
-            sig[d] = sig[d] - q if d in sig else -q
+        rem = _reduce_at(vec, sig, lam, rank, index, cols, beta, alpha)
         if grow and rem:
-            new = len(cols)
+            new, r = len(cols), max(rem, key=rank)
             beta.append(lam)
             cols.append(rem)
-            leads.append(max(rem, key=rank.__getitem__))
-            queue.extend(("cc", d, new) for d in range(new))
+            leads.append(r)
+            queue.extend(("cc", d, new) for d in index.get(r, ()))
             queue.extend(("ct", i, new, k) for i in range(s) for k in range(n))
+            index.setdefault(r, []).append(new)
         yield name, lam, rem, sig
 
 
@@ -207,9 +194,10 @@ def free_presentation(mat, order):
     """Presentation matrix of the module cut out by a matrix in Groebner form.
 
     Rows are indexed by the columns of mat; each output column sigma encodes a
-    relation sum(sigma_j * column_j) lying in the cofree kernel. Column-pair
-    relations come first, then column-relation ones ordered by row; zero and
-    repeated relations are dropped. A pair that does not reduce to zero
+    relation sum(sigma_j * column_j) lying in the cofree kernel. The unit
+    relation e_j in degree beta_j of each zero column j comes first, then the
+    column-pair relations, then the column-relation ones ordered by row; zero
+    and repeated relations are dropped. A pair that does not reduce to zero
     raises ContractViolation with the witness of is_groebner_form.
     """
     _require_supported(mat)
@@ -221,9 +209,10 @@ def free_presentation(mat, order):
         terms = {(j, exp_sub(lam, mat.beta[j])): c for j, c in sig.items()}
         lifted[name] = ModuleElement(ring, mat.ncols, terms), lam
     names = [nm for nm in lifted if nm[0] == "cc"] + sorted(nm for nm in lifted if nm[0] == "ct")
+    units = [(ModuleElement.monomial(ring, mat.ncols, j, (0,) * ring.n), b)
+             for j, b in enumerate(mat.beta) if not any(row[j] for row in mat.entries)]
     out, out_deg, seen = [], [], set()
-    for nm in names:
-        sig, lam = lifted[nm]
+    for sig, lam in units + [lifted[nm] for nm in names]:
         if not sig.is_zero and sig not in seen:
             seen.add(sig)
             out.append(sig)

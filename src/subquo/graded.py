@@ -94,6 +94,29 @@ def _axpy(row, f, tail):
                 del row[k]
 
 
+def _reduce_at(work, sig, lam, rank, index, vecs, degs, cap=None):
+    """Reduce the sparse vector work in place at degree lam; return the
+    remainder {row: coefficient}. Each step takes the lead r of work, its row
+    of largest rank(r). With cap given, r is dropped when lam is not <= cap[r].
+    Otherwise the divisor is the first column k of index[r] with degs[k] <= lam:
+    work loses q = work[r] / vecs[k][r] times vecs[k], and sig[k] gains -q.
+    With no such column, r moves to the remainder."""
+    rem = {}
+    while work:
+        r = max(work, key=rank)
+        if cap is not None and not deg_leq(lam, cap[r]):
+            del work[r]
+            continue
+        k = next((k for k in index.get(r, ()) if deg_leq(degs[k], lam)), None)
+        if k is None:
+            rem[r] = work.pop(r)
+            continue
+        q = work[r] / vecs[k][r]
+        _axpy(work, -q, vecs[k])
+        sig[k] = sig[k] - q if k in sig else -q
+    return rem
+
+
 def _add_row(pivots, row):
     """Sparse exact elimination step: reduce row into the echelon form pivots.
 

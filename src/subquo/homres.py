@@ -3,8 +3,8 @@
 from .elements import ModuleElement, exp_add, exp_sub
 from .errors import ContractViolation, InputError
 from .graded import (
-    GradedMatrix, _add_row, _axpy, _box_ranks, _element_rows, _spans, deg_join, deg_leq, deg_meet, degrees_in_box,
-    element_degree, graded_dimensions, is_homogeneous, monomialize,
+    GradedMatrix, _add_row, _axpy, _box_ranks, _element_rows, _reduce_at, _spans, deg_join, deg_leq, deg_meet,
+    degrees_in_box, element_degree, graded_dimensions, is_homogeneous, monomialize,
 )
 from .groebner import (
     _divide, _index, buchberger, buchberger_transform, minimal_groebner, minimal_transform, reduce_groebner,
@@ -165,9 +165,8 @@ def _level_syzygies(cols, degs, shifts, sord, ambient_shifts):
     d_j); its syzygy's lead x^(lam - d_i) e_i has the base key of the pair's
     lead component at lam, and divides another lead of i when its lam is <=
     the other's, so _schreyer's sort and pick take one key per pair. A picked
-    pair is reduced as v_i/lc_i - v_j/lc_j at lam, each step by _divide's
-    divisor, the first column k in basis order of the step's lead component
-    with d_k <= lam; those components fall below the pair's, so no k repeats.
+    pair v_i/lc_i - v_j/lc_j is reduced by graded._reduce_at under that key
+    at lam, over the columns in basis order, so each divisor is _divide's.
     Returns the next level's (columns, degrees, Schreyer order).
     """
     ring, base, flat = cols[0].ring, sord._base, sord._flat
@@ -200,14 +199,9 @@ def _level_syzygies(cols, degs, shifts, sord, ambient_shifts):
         sig = {i: one / vecs[i][leads[i]], j: -one / vecs[j][leads[j]]}
         work = {c: sig[i] * a for c, a in vecs[i].items()}
         _axpy(work, sig[j], vecs[j])
-        while work:
-            r = max(work, key=lambda c: rank(c, lam))
-            k = next((k for k in index.get(r, ()) if deg_leq(degs[k], lam)), None)
-            if k is None:
-                msg = "input is not a Groebner basis: S-polynomial of elements %d and %d does not reduce to zero"
-                raise ContractViolation(msg % (i + 1, j + 1))
-            sig[k] = -work[r] / vecs[k][r]
-            _axpy(work, sig[k], vecs[k])
+        if _reduce_at(work, sig, lam, lambda c: rank(c, lam), index, vecs, degs):
+            msg = "input is not a Groebner basis: S-polynomial of elements %d and %d does not reduce to zero"
+            raise ContractViolation(msg % (i + 1, j + 1))
         out_cols.append(ModuleElement(ring, len(cols), {(k, exp_sub(lam, degs[k])): a for k, a in sig.items()}))
         out_degs.append(lam)
     lts = tuple((c, exp_sub(d, shifts[c])) for c, d in zip(leads, degs))

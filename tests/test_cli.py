@@ -1014,6 +1014,29 @@ class TestFlange:
         assert code == 2
         assert "support condition" in err
 
+    ZERO_COLUMN_FIM = "n: 2\nvars: X1 X2\ncogens: (1,1)\ngens: (0,0) (0,0)\nrows:\n1 0\n"
+
+    def test_flange_pres_keeps_zero_column_relation(self, tmp_path, monkeypatch, capsys):
+        # column 2 is zero, so e2 itself is a relation: M = k[X1, X2]/(X1^2, X2^2)
+        path = tmp_path / "zero.fim"
+        path.write_text(self.ZERO_COLUMN_FIM)
+        code, out, err = run_cli(monkeypatch, capsys, "flange-pres", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[4:] == [
+            "D1:",
+            "rows: (0,0) (0,0)",
+            "cols: (0,0) (2,0) (0,2) (2,0) (0,2)",
+            "0 X1^2 X2^2 0 0",
+            "1 0 0 X1^2 X2^2",
+        ]
+
+    @pytest.mark.parametrize("header", ["cogens", "gens"])
+    def test_empty_degree_header_is_named(self, header, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "empty.fim"
+        bad.write_text(self.ZERO_COLUMN_FIM.replace("\n%s: " % header, "\n%s: # none\n# " % header))
+        code, out, err = run_cli(monkeypatch, capsys, "flange-pres", str(bad))
+        assert (code, out, err) == (1, "", "Error: empty '%s:' header\n" % header)
+
 
 class TestHomologyAndDiagrams:
     def test_homology(self, files, monkeypatch, capsys):

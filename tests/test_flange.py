@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from subquo import flange, groebner
+from subquo import flange, graded, groebner, homres
 from subquo.elements import QQ, ModuleElement, Ring, parse_element, parse_field
 from subquo.errors import ContractViolation, InputError
 from subquo.flange import (
@@ -14,7 +14,7 @@ from subquo.flange import (
     is_groebner_form,
     monomial_division,
 )
-from subquo.graded import deg_leq
+from subquo.graded import deg_leq, degrees_in_box, matrix_rank, presentation_dimension
 from subquo.groebner import normal_form, s_polynomial
 from subquo.orders import parse_order
 
@@ -201,9 +201,11 @@ class TestScalarColumns:
 
         # Random draws rarely need the pairs of an appended column; these two
         # completions are wrong without its column pairs, or its cofree pairs.
+        # The third has a zero column, whose unit relation the presentation needs.
         @hyp.settings(max_examples=60)
         @hyp.example(fixed(1, "fp:32003", [(0,), (2,), (2,)], [(0,), (2,)], [[-1, 0], [-1, -1], [-1, 0]], "grlex ; pot desc"))
         @hyp.example(fixed(2, "q", [(2, 1), (2, 0), (0, 2)], [(0, 0)], [[-1], [2], [-1]], "lex ; pot asc"))
+        @hyp.example(fixed(2, "q", [(1, 1)], [(0, 0), (0, 0)], [[1, 0]], "grlex ; pot asc"))
         @hyp.given(cases())
         def check(case):
             mat, order = case
@@ -215,13 +217,42 @@ class TestScalarColumns:
             assert _reference_groebner_form(done, order)
             cols, rels = done.columns(), [u for _, _, u in done.cofree_relations()]
             rorder = order.for_rank(done.nrows)
-            for sigma in free_presentation(done, order).cols:
+            pres = free_presentation(done, order)
+            for sigma in pres.cols:
                 image = ModuleElement.zero(done.ring, done.nrows)
                 for (j, e), c in sigma.terms:
                     image = image + cols[j].mul_term(c, e)
                 assert normal_form(image, rels, rorder).is_zero
+            # the cokernel is the image M of F -> E: in degree a, M_a is the
+            # span of the columns with beta_j <= a in the rows with a <= alpha_i
+            top = tuple(max(x) + 1 for x in zip(*done.alpha))
+            for a in degrees_in_box((0,) * done.ring.n, top):
+                block = [[row[j] for j, b in enumerate(done.beta) if deg_leq(b, a)]
+                         for i, row in enumerate(done.entries) if deg_leq(a, done.alpha[i])]
+                assert presentation_dimension(pres, a) == matrix_rank(block)
 
         check()
+
+    @pytest.mark.parametrize(
+        "spec, counts", [("grlex X1 X2 ; pot asc", (61, 62)), ("grevlex X1 X2 ; pot desc", (36, 36))]
+    )
+    def test_flange_work_is_pinned(self, ring2, monkeypatch, spec, counts):
+        # graded._axpy steps of buchberger_flange, then of free_presentation,
+        # on fim_big; under pot asc the completion appends one column. The
+        # counts are deterministic, and a change means flange work came or went.
+        calls, axpy = [0], graded._axpy
+
+        def counted_axpy(*args):
+            calls[0] += 1
+            return axpy(*args)
+
+        for module in (graded, homres, flange):  # every module that binds _axpy
+            monkeypatch.setattr(module, "_axpy", counted_axpy)
+        order = parse_order(spec, ring2, 1)
+        done = buchberger_flange(fim_big(ring2), order)
+        first = calls[0]
+        free_presentation(done, order)
+        assert (first, calls[0] - first) == counts
 
     def test_flange_layer_needs_no_general_division(self, ring2, order, monkeypatch):
         # every flange pair is a scalar column at one degree: no module division

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from subquo import groebner, homres, relative
+from subquo import flange, graded, groebner, homres, relative
 from subquo import (
     ContractViolation,
     ModuleElement,
@@ -663,8 +663,10 @@ def test_resolution_leading_work_is_pinned(monkeypatch):
     level past the first is lifted on scalar columns, with no ModuleElement
     lead or division at all (2,357 leading and 439 _divide calls while those
     levels ran the general Schreyer pass). Only the relative basis and its
-    first syzygies divide. A change here means some leading-term or division
-    work came back or went away. The counts are deterministic.
+    first syzygies divide. The levels past the first reduce their pairs with
+    graded._axpy steps, counted in every module that binds it. A change here
+    means some leading-term or division work came back or went away. The
+    counts are deterministic.
     """
     ring = Ring(3, QQ, ("X", "Y", "Z"))
     order = parse_order("grevlex X Y Z ; pot desc", ring, 1)
@@ -673,8 +675,8 @@ def test_resolution_leading_work_is_pinned(monkeypatch):
         exps = sorted((e for e in product(range(d + 1), repeat=3) if sum(e) == d), reverse=True)
         return [ModuleElement.monomial(ring, 1, 0, e) for e in exps]
 
-    calls = {"leading": 0, "divide": 0}
-    leading, divide_ = ModuleElement.leading, groebner._divide
+    calls = {"leading": 0, "divide": 0, "axpy": 0}
+    leading, divide_, axpy = ModuleElement.leading, groebner._divide, graded._axpy
 
     def counted_leading(self, order):
         calls["leading"] += 1
@@ -684,9 +686,15 @@ def test_resolution_leading_work_is_pinned(monkeypatch):
         calls["divide"] += 1
         return divide_(*args)
 
+    def counted_axpy(*args):
+        calls["axpy"] += 1
+        return axpy(*args)
+
     monkeypatch.setattr(ModuleElement, "leading", counted_leading)
     for module in (groebner, relative, homres):  # every module that binds _divide
         monkeypatch.setattr(module, "_divide", counted_divide)
+    for module in (graded, homres, flange):  # every module that binds _axpy
+        monkeypatch.setattr(module, "_axpy", counted_axpy)
     res = free_resolution(power(2), power(5), order)
     assert [len(res.gens)] + [d.ncols for d in res.diffs] == [6, 141, 327, 270, 78]
-    assert calls == {"leading": 813, "divide": 39}
+    assert calls == {"leading": 813, "divide": 39, "axpy": 1481}

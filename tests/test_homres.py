@@ -287,6 +287,61 @@ class TestHomologyPresentation:
         res = homology_presentation(ident, ident, d2, order2)
         assert (res.gens, res.u_gens, res.diffs, res.ambient_shifts) == ([], [], [], ((0, 0),))
 
+    def test_cokernel_matches_dense_homology(self):
+        """Per degree a, the cokernel of the presentation has dimension
+        rank(P(ker D1_a) + im D2_a) - rank(im D2_a), counted on the scalar
+        blocks of random homogeneous maps with monomial entries."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def cases(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            n = draw(st.integers(1, 2))
+            ring = Ring(n, field)
+
+            def shifts(lo, hi):
+                return draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=lo, max_size=hi))
+
+            f1, f0, amb, f2 = shifts(2, 4), shifts(1, 3), shifts(1, 3), shifts(1, 3)
+            coeff = st.integers(-2, 2).map(field.from_int)
+
+            def matrix(rows, cols):
+                # entry (i, j) is c * x^(b_j - s_i), zero unless s_i <= b_j
+                vecs, elems = [], []
+                for b in cols:
+                    vec = {i: draw(coeff) for i, s in enumerate(rows) if deg_leq(s, b)}
+                    vecs.append({i: c for i, c in vec.items() if c})
+                    terms = {(i, tuple(x - y for x, y in zip(b, rows[i]))): c for i, c in vecs[-1].items()}
+                    elems.append(ModuleElement(ring, len(rows), terms))
+                return GradedMatrix(ring, rows, cols, elems), vecs
+
+            kind = draw(st.sampled_from(["lex", "grlex", "grevlex"]))
+            ext = "%s %s" % (draw(st.sampled_from(["pot", "top"])), draw(st.sampled_from(["asc", "desc"])))
+            order = parse_order("%s ; %s" % (kind, ext), ring, len(amb))
+            return matrix(f0, f1), matrix(amb, f1), matrix(amb, f2), order
+
+        @hyp.settings(max_examples=100, deadline=None)
+        @hyp.given(cases())
+        def check(case):
+            (d1, v1), (p, vp), (d2, v2), order = case
+            res = homology_presentation(d1, p, d2, order)
+            field, zero = d1.ring.field, d1.ring.field.zero
+            shifts = d1.row_shifts + d1.col_shifts + p.row_shifts + d2.col_shifts
+            top = tuple(max(x) + 1 for x in zip(*shifts))
+            for a in degrees_in_box((0,) * len(top), top):
+                live = [j for j, b in enumerate(d1.col_shifts) if deg_leq(b, a)]
+                block = [[v1[j].get(i, zero) for j in live] for i, s in enumerate(d1.row_shifts) if deg_leq(s, a)]
+                amb = [i for i, s in enumerate(p.row_shifts) if deg_leq(s, a)]
+                image = [[sum((vp[j].get(i, zero) * x for j, x in zip(live, w)), zero) for i in amb]
+                         for w in nullspace_basis(block, len(live), field)]
+                bound = [[v.get(i, zero) for i in amb] for v, b in zip(v2, d2.col_shifts) if deg_leq(b, a)]
+                want = matrix_rank(image + bound) - matrix_rank(bound)
+                got = sum(deg_leq(g, a) for g in res.gen_degrees) - (res.diffs[0].degree_rank(a) if res.diffs else 0)
+                assert got == want
+
+        check()
+
 
 class TestFreeResolution:
     def test_free_cover(self, ring_x):
