@@ -1,5 +1,7 @@
 """Fine gradings: degrees, graded matrices, exact graded dimensions."""
 
+import heapq
+import operator
 from itertools import product
 
 from .elements import ModuleElement, exp_add, exp_divides, exp_lcm
@@ -149,28 +151,56 @@ def _spans(rows, vec):
 def _box_ranks(rows, lo, hi):
     """Rank of the rows of degree <= a, for each a in degrees_in_box(lo, hi).
 
-    rows are (degree, {index: value}) pairs. One kernel serves every fine
-    graded map between free modules, because a free component with shift s
-    holds at most one monomial in a fine degree a: x^(a - s) times its basis
-    vector, present when s <= a. So the degree-a piece of a homogeneous map
-    is one fixed scalar matrix restricted to the rows whose degree is <= a:
-    an element w of degree b <= a contributes x^(a - b) w, whose coordinate
-    on component j is the coefficient of w on j, whatever a is. Only the set
-    of active rows depends on a, and along a line of the box in the first
-    coordinate (the fastest axis of degrees_in_box) that set only grows. So
-    each line keeps one echelon form and inserts each of its rows once, when
-    the line reaches the row's first coordinate; the rank does not depend on
-    the insertion order.
+    rows are (degree, {index: value}) pairs: fine-homogeneous elements of a
+    free module, whose components each hold one monomial per degree, so the
+    degree-a piece of the span of the rows of degree <= a is spanned by their
+    scalar vectors. Order terms position over term, the lead of a vector
+    being its smallest index. Rows and S-vectors are reduced by _reduce_at
+    in order of total degree, and two basis elements of one lead give one
+    S-vector at the join of their degrees, formed only when that join is
+    <= hi. So every S-vector of degree <= a reduces to zero, and the basis
+    elements of degree <= a are a Groebner basis in degree a, for any a <=
+    hi: the rank at a is the number of distinct leads among them. The leads
+    at or below each degree of the box are one bitmask, the union of those
+    of its predecessors along each axis and of the elements clamped to it.
     """
-    rows = sorted(((d[0], d[1:], vec) for d, vec in rows if d[0] <= hi[0]), key=lambda r: r[0])
-    for tail in degrees_in_box(lo[1:], hi[1:]):
-        line = [(a0, vec) for a0, t, vec in rows if deg_leq(t, tail)]
-        pivots, rank, k = {}, 0, 0
-        for a0 in range(lo[0], hi[0] + 1):
-            while k < len(line) and line[k][0] <= a0:
-                rank += _add_row(pivots, dict(line[k][1]))
-                k += 1
-            yield rank
+    heap = [(sum(d), d, k, dict(vec)) for k, (d, vec) in enumerate(rows) if deg_leq(d, hi)]
+    heapq.heapify(heap)
+    count, index, vecs, degs = len(rows), {}, [], []
+    while heap:
+        _, lam, _, work = heapq.heappop(heap)
+        rem = _reduce_at(work, {}, lam, operator.neg, index, vecs, degs)
+        if not rem:
+            continue
+        c = min(rem)
+        lead = rem[c]
+        vec = {k: v / lead for k, v in rem.items()}
+        for i in index.get(c, ()):
+            join = deg_join(lam, degs[i])
+            if deg_leq(join, hi):
+                s = dict(vec)
+                _axpy(s, -vec[c], vecs[i])
+                heapq.heappush(heap, (sum(join), join, count, s))
+                count += 1
+        index.setdefault(c, []).append(len(vecs))
+        vecs.append(vec)
+        degs.append(lam)
+    own = {}  # degree clamped to lo -> bitmask of the leads of elements there
+    for i, ks in enumerate(index.values()):
+        for k in ks:
+            d = deg_join(degs[k], lo)
+            own[d] = own.get(d, 0) | 1 << i
+    strides = [1]
+    for l, h in zip(lo, hi):
+        strides.append(strides[-1] * (h - l + 1))
+    active = []  # per degree of the box so far: bitmask of leads at or below it
+    for a in degrees_in_box(lo, hi):
+        m = own.get(a, 0)
+        for x, l, step in zip(a, lo, strides):
+            if x > l:
+                m |= active[-step]
+        active.append(m)
+        yield m.bit_count()
 
 
 def rref(rows):
@@ -280,17 +310,6 @@ class GradedMatrix:
                 raise InputError("vector component %d exceeds %d columns" % (j + 1, self.ncols))
             out = out + self.cols[j].mul_term(c, e)
         return out
-
-    def compose(self, other):
-        """Matrix of self applied after other."""
-        if other.nrows != self.ncols:
-            raise InputError("composition shape mismatch")
-        return GradedMatrix(
-            self.ring,
-            self.row_shifts,
-            other.col_shifts,
-            [self.apply(col) for col in other.cols],
-        )
 
     def _scalar_columns(self):
         """(column degree, {row: coefficient}) per column, the rows of

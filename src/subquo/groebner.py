@@ -138,6 +138,8 @@ def _complete(G, order, exprs=None, done=0):
         add(m)
     while pairs:
         _, i, j, _ = heapq.heappop(pairs)
+        if len(G[i].terms) == len(G[j].terms) == 1:  # two monomials: the S-polynomial is zero
+            continue
         ti, tj = _cofactors(leads[i], leads[j], one)
         sp = G[i].mul_term(*ti) - G[j].mul_term(*tj)
         if sp.is_zero:

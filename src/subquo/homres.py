@@ -481,11 +481,14 @@ def _verify_degree(a, dims, ranks, want):
 def verify_complex(res, box=None):
     """Check a resolution is an exact graded complex; returns (ok, report).
 
-    Generators, inner generators and differentials must be homogeneous.
-    Each homogeneous piece, of degree a, of a column of D0 composed with D1
-    must lie in the inner module U, that is, in the span of the coordinates
-    of U's generators of degree <= a (see graded._box_ranks); later
-    composites must vanish. Then each degree of the box is checked by ranks.
+    Generators, inner generators and differentials must be homogeneous, and
+    the rows of each differential repeat the degrees of the level before, as
+    parse_resolution_file checks. So with D0 the generators, D_i after a
+    degree-b column {j: a_j} of D_{i+1} is the degree-b element whose scalar
+    vector is the sum of a_j times column j of D_i (see graded._box_ranks).
+    For i = 0 it must lie in the inner module U, that is, in the span of the
+    coordinates of U's generators of degree <= b; later composites vanish.
+    Then each degree of the box is checked by ranks.
     """
     report = []
     shifts = res.ambient_shifts
@@ -494,21 +497,29 @@ def verify_complex(res, box=None):
         u_rows = _element_rows(res.u_gens, shifts)
     except InputError as err:
         return False, [str(err)]
+    cols = []
     for i, d in enumerate(res.diffs):
-        if not d.is_homogeneous():
+        try:
+            cols.append(d._scalar_columns())
+        except ContractViolation:
             report.append("differential %d is not homogeneous" % (i + 1))
     if report:
         return False, report
-    if res.gens and res.diffs:
-        for j, col in enumerate(res.gens_matrix().compose(res.diffs[0]).cols):
-            pieces = {}
-            for (i, e), c in col.terms:
-                pieces.setdefault(exp_add(e, shifts[i]), {})[i] = c
-            if not all(_spans([w for b, w in u_rows if deg_leq(b, a)], vec) for a, vec in pieces.items()):
+
+    def composite(vec, targets):
+        out = {}
+        for j, a in vec.items():
+            _axpy(out, a, targets[j])
+        return out
+
+    if res.gens and cols:
+        gens = [{i: c for (i, _), c in g.terms} for g in res.gens]
+        for j, (b, vec) in enumerate(cols[0]):
+            if not _spans([w for a, w in u_rows if deg_leq(a, b)], composite(vec, gens)):
                 report.append("composite of generators with differential 1 misses the inner module in column %d" % (j + 1))
-    for i in range(len(res.diffs) - 1):
-        comp = res.diffs[i].compose(res.diffs[i + 1])
-        if any(not c.is_zero for c in comp.cols):
+    for i in range(len(cols) - 1):
+        targets = [vec for _, vec in cols[i]]
+        if any(composite(vec, targets) for _, vec in cols[i + 1]):
             report.append("differentials %d and %d do not compose to zero" % (i + 1, i + 2))
     if report:
         return False, report
@@ -524,7 +535,7 @@ def verify_complex(res, box=None):
     # One rank stream per level (the identity of its free module), per
     # differential and for the module, all in degrees_in_box order.
     streams = [_box_ranks([(s, {j: 1}) for j, s in enumerate(degs)], lo, hi) for degs in levels]
-    streams += [d.degree_ranks(lo, hi) for d in res.diffs]
+    streams += [_box_ranks(c, lo, hi) for c in cols]
     wants = graded_dimensions(res.gens, res.u_gens, shifts, lo, hi)
     for a, want, *counts in zip(degrees_in_box(lo, hi), wants, *streams):
         report.extend(_verify_degree(a, counts[: len(levels)], counts[len(levels):], want))

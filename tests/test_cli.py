@@ -593,6 +593,16 @@ def drop_column(res, level, j):
     return Resolution(res.ring, res.order, res.ambient_shifts, res.u_gens, res.gens, diffs)
 
 
+def negate_entry(res, level, i, j):
+    """res with the entry at row i, column j of differential `level` negated."""
+    diffs = list(res.diffs)
+    d = diffs[level - 1]
+    cols = list(d.cols)
+    cols[j] = ModuleElement(d.ring, d.nrows, {(r, e): -c if r == i else c for (r, e), c in cols[j].terms})
+    diffs[level - 1] = GradedMatrix(d.ring, d.row_shifts, d.col_shifts, cols)
+    return Resolution(res.ring, res.order, res.ambient_shifts, res.u_gens, res.gens, diffs)
+
+
 def line_resolution():
     """Resolution of <e1, e2> over <X^3 e1, X^2 e1 - X^2 e2> in k[X]."""
     ring = Ring(1, QQ, ("X",))
@@ -973,6 +983,26 @@ class TestVerify:
         bad.write_text(emit_resolution_file(res))
         args = ["verify", str(bad)] + (["--box", box] if box else [])
         assert run_cli(monkeypatch, capsys, *args)[:2] == (2, report)
+
+    # Sign flips of one entry Y of m/m^3: in D2's first row the composites
+    # D1 D2 and D2 D3 no longer vanish; in D1's first row the generators
+    # composed with D1 leave U, and D1 D2 no longer vanishes.
+    @pytest.mark.parametrize(
+        "level, j, report",
+        [
+            (2, 1, "differentials 1 and 2 do not compose to zero\ndifferentials 2 and 3 do not compose to zero\n"),
+            (
+                1,
+                0,
+                "composite of generators with differential 1 misses the inner module in column 1\n"
+                "differentials 1 and 2 do not compose to zero\n",
+            ),
+        ],
+    )
+    def test_composite_report_frozen(self, level, j, report, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.res"
+        bad.write_text(emit_resolution_file(negate_entry(cube_resolution(QQ), level, 0, j)))
+        assert run_cli(monkeypatch, capsys, "verify", str(bad))[:2] == (2, report)
 
     def test_bad_box_is_input_error(self, files, monkeypatch, capsys):
         code, out, err = run_cli(

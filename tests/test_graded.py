@@ -314,24 +314,6 @@ class TestGradedMatrix:
         with pytest.raises(InputError):
             mat.apply(parse_element("e5", ring2, 5))
 
-    def test_compose_matches_successive_apply(self, ring2):
-        mat = pruned_presentation(ring2)
-        inner = GradedMatrix.from_entries(
-            ring2,
-            mat.col_shifts,
-            ((2, 2),),
-            scalar_grid(ring2, [["X1"], ["0"], ["X1*X2"], ["0"]]),
-        )
-        comp = mat.compose(inner)
-        assert comp.cols == [mat.apply(inner.cols[0])]
-        assert comp.row_shifts == mat.row_shifts
-        assert comp.col_shifts == inner.col_shifts
-
-    def test_compose_shape_mismatch(self, ring2):
-        mat = pruned_presentation(ring2)
-        with pytest.raises(InputError):
-            mat.compose(mat)
-
     def test_homogeneity_check(self, ring2):
         mat = pruned_presentation(ring2)
         assert mat.is_homogeneous()
@@ -466,5 +448,73 @@ class TestLeadingTermOracle:
             assert stream == [self.dense_recount(ring, shifts, v, u, a) for a in box]
             oracle = self.oracle(ring, shifts, v, u)
             assert stream == [oracle(a) for a in box]
+
+        prop()
+
+
+class TestBoxRankOracle:
+    """GradedMatrix.degree_ranks against matrix_rank of each dense degree-a block.
+
+    Twin columns share their rows at the incomparable degrees c + e_k and
+    c + e_l, so their leads meet in an S-vector at c + e_k + e_l, and the
+    box often stops below that join or below a column degree.
+    """
+
+    @staticmethod
+    def matrices(st):
+        @st.composite
+        def draw_case(draw):
+            field = parse_field(draw(st.sampled_from(["q", "fp:32003"])))
+            n, nrows = draw(st.integers(2, 3)), draw(st.integers(1, 4))
+            ring = Ring(n, field, tuple("xyz"[:n]))
+            row_shifts = [tuple(draw(st.sampled_from([0, 0, 1])) for _ in range(n)) for _ in range(nrows)]
+            cols = []  # (degree, {row: coefficient})
+            for _ in range(draw(st.integers(1, 4))):
+                c = tuple(draw(st.integers(0, 2)) for _ in range(n))
+                rows = [i for i in range(nrows) if deg_leq(row_shifts[i], c)]
+                if draw(st.booleans()):  # twins at c + e_k and c + e_l, one support
+                    k, l = draw(st.permutations(range(n)))[:2]
+                    coeff = st.sampled_from([1, -1, 2, 5])
+                    degs = [tuple(x + (i == m) for i, x in enumerate(c)) for m in (k, l)]
+                else:
+                    coeff, degs = st.sampled_from([0, 1, -1, 2, 5]), [c]
+                for b in degs:
+                    vec = {i: field.from_int(draw(coeff)) for i in rows}
+                    cols.append((b, {i: v for i, v in vec.items() if v}))
+            mat = GradedMatrix(
+                ring,
+                row_shifts,
+                [b for b, _ in cols],
+                [ModuleElement(ring, nrows, {(i, exp_sub(b, row_shifts[i])): c for i, c in vec.items()}) for b, vec in cols],
+            )
+            lo = tuple(draw(st.integers(-1, 1)) for _ in range(n))
+            hi = tuple(x + draw(st.integers(1, 4)) for x in lo)
+            return mat, lo, hi
+
+        return draw_case()
+
+    @staticmethod
+    def dense_block(mat, a):
+        """The degree-a piece of mat as dense rows over its degree-a columns."""
+        one, zero = mat.ring.field.one, mat.ring.field.zero
+        block = []
+        for b, col in zip(mat.col_shifts, mat.cols):
+            if deg_leq(b, a):
+                shifted = col.mul_term(one, exp_sub(a, b))
+                block.append([
+                    shifted.coeff(i, exp_sub(a, s)) if deg_leq(s, a) else zero
+                    for i, s in enumerate(mat.row_shifts)
+                ])
+        return block
+
+    def test_degree_ranks_match_dense_blocks(self):
+        hyp = pytest.importorskip("hypothesis")
+
+        @hyp.settings(max_examples=200)
+        @hyp.given(self.matrices(hyp.strategies))
+        def prop(case):
+            mat, lo, hi = case
+            box = list(degrees_in_box(lo, hi))
+            assert list(mat.degree_ranks(lo, hi)) == [matrix_rank(self.dense_block(mat, a)) for a in box]
 
         prop()

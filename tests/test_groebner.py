@@ -653,6 +653,16 @@ class TestDivisionOracle:
         check()
 
 
+def _power(ring):
+    """d -> the monomials of degree d in the three variables of ring, as rank-1 elements."""
+
+    def power(d):
+        exps = sorted((e for e in product(range(d + 1), repeat=3) if sum(e) == d), reverse=True)
+        return [ModuleElement.monomial(ring, 1, 0, e) for e in exps]
+
+    return power
+
+
 def test_resolution_leading_work_is_pinned(monkeypatch):
     """ModuleElement.leading and groebner._divide calls while resolving
     m^2/m^5 over k[X, Y, Z].
@@ -670,11 +680,7 @@ def test_resolution_leading_work_is_pinned(monkeypatch):
     """
     ring = Ring(3, QQ, ("X", "Y", "Z"))
     order = parse_order("grevlex X Y Z ; pot desc", ring, 1)
-
-    def power(d):
-        exps = sorted((e for e in product(range(d + 1), repeat=3) if sum(e) == d), reverse=True)
-        return [ModuleElement.monomial(ring, 1, 0, e) for e in exps]
-
+    power = _power(ring)
     calls = {"leading": 0, "divide": 0, "axpy": 0}
     leading, divide_, axpy = ModuleElement.leading, groebner._divide, graded._axpy
 
@@ -698,3 +704,63 @@ def test_resolution_leading_work_is_pinned(monkeypatch):
     res = free_resolution(power(2), power(5), order)
     assert [len(res.gens)] + [d.ncols for d in res.diffs] == [6, 141, 327, 270, 78]
     assert calls == {"leading": 813, "divide": 39, "axpy": 1481}
+
+
+def test_verify_arithmetic_is_pinned(monkeypatch):
+    """graded._axpy and graded._add_row calls while verify_complex checks the
+    m^2/m^5 frame of test_resolution_leading_work_is_pinned.
+
+    Each degree box is ranked from one scalar Groebner basis per map, and the
+    composites are formed on scalar columns. When every line of the box ran
+    its own elimination and the composites were ModuleElement products, the
+    same check made 43,326 _axpy and 37,733 _add_row calls. The _add_row
+    calls left are those of the test that the generators composed with D1
+    land in the inner module. The counts are deterministic.
+    """
+    ring = Ring(3, QQ, ("X", "Y", "Z"))
+    power = _power(ring)
+    res = free_resolution(power(2), power(5), parse_order("grevlex X Y Z ; pot desc", ring, 1))
+    calls = {"axpy": 0, "add_row": 0}
+    axpy, add_row = graded._axpy, graded._add_row
+
+    def counted_axpy(*args):
+        calls["axpy"] += 1
+        return axpy(*args)
+
+    def counted_add_row(*args):
+        calls["add_row"] += 1
+        return add_row(*args)
+
+    for module in (graded, homres, flange):  # every module that binds _axpy
+        monkeypatch.setattr(module, "_axpy", counted_axpy)
+    for module in (graded, homres):  # every module that binds _add_row
+        monkeypatch.setattr(module, "_add_row", counted_add_row)
+    assert homres.verify_complex(res) == (True, [])
+    assert calls == {"axpy": 4494, "add_row": 420}
+
+
+def test_monomial_pairs_form_no_products(monkeypatch):
+    """Two one-term elements have a zero S-polynomial, so their pair forms no
+    product: completing m^5 or m^6 multiplies nothing (70 and 96 mul_term
+    calls when each pair formed both products). The outputs are frozen, on
+    the tracked path too for a mixed monomial/binomial input."""
+    ring = Ring(3, QQ, ("X", "Y", "Z"))
+    order = parse_order("grevlex X Y Z ; pot desc", ring, 1)
+    power = _power(ring)
+    calls = {"mul_term": 0}
+    mul_term = ModuleElement.mul_term
+
+    def counted_mul_term(self, *args):
+        calls["mul_term"] += 1
+        return mul_term(self, *args)
+
+    monkeypatch.setattr(ModuleElement, "mul_term", counted_mul_term)
+    for d in (5, 6):
+        assert fmts(buchberger(power(d), order)) == fmts(power(d))
+    assert calls == {"mul_term": 0}
+    mixed = els(ring, 1, ["X^3", "X^2*Y", "Y^3-X*Z^2", "X*Y*Z", "Z^3", "Y^2*Z-X*Z^2"])
+    want = fmts(mixed) + ["X^2*Z^2"]
+    assert fmts(buchberger(mixed, order)) == want
+    G, exprs = buchberger_transform(mixed, order)
+    assert fmts(G) == want
+    assert fmts(exprs) == ["e1", "e2", "e3", "e4", "e5", "e6", "Y*e4-X*e6"]
