@@ -1,136 +1,121 @@
-"""Exact Groebner bases for subquotients of free modules over polynomial rings."""
+"""Exact Groebner bases for subquotients of free modules over polynomial rings.
 
-from .elements import (
-    ModuleElement,
-    PrimeField,
-    QQ,
-    RationalField,
-    Ring,
-    format_element,
-    parse_element,
-    parse_field,
-)
+Every library module is registered in sys.modules and on this package when
+the package is imported, but is compiled and run only on its first attribute
+access (importlib.util.LazyLoader), so each command loads only the modules
+it uses. The public names below resolve through module __getattr__ (PEP 562).
+"""
+
+import importlib.util
+import sys
+
 from .errors import ContractViolation, InputError
-from .flange import (
-    FreeInjectiveMatrix,
-    buchberger_flange,
-    free_presentation,
-    is_groebner_form,
-    monomial_division,
-)
-from .graded import (
-    GradedMatrix,
-    deg_join,
-    deg_leq,
-    deg_meet,
-    degrees_in_box,
-    element_degree,
-    format_degree,
-    graded_dimension,
-    is_homogeneous,
-    monomialize,
-    parse_degree,
-    presentation_dimension,
-)
-from .groebner import (
-    buchberger,
-    buchberger_transform,
-    divide,
-    express,
-    is_groebner,
-    minimal_groebner,
-    minimal_transform,
-    normal_form,
-    reduce_groebner,
-    s_polynomial,
-    schreyer_syzygies,
-)
-from .homres import (
-    Resolution,
-    VectorDiagram,
-    betti_numbers,
-    free_resolution,
-    homology_presentation,
-    kernel_of_free_map,
-    module_from_diagram,
-    prune_minimize,
-    verify_complex,
-)
-from .orders import (
-    BaseOrder,
-    ModuleOrder,
-    SchreyerOrder,
-    default_order,
-    format_order,
-    parse_order,
-)
-from .relative import (
-    is_relative_gb,
-    reduce_relative,
-    relative_buchberger,
-    relative_division,
-    relative_schreyer,
-)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BaseOrder",
-    "ContractViolation",
-    "FreeInjectiveMatrix",
-    "GradedMatrix",
-    "InputError",
-    "ModuleElement",
-    "ModuleOrder",
-    "PrimeField",
-    "QQ",
-    "RationalField",
-    "Resolution",
-    "Ring",
-    "SchreyerOrder",
-    "VectorDiagram",
-    "betti_numbers",
-    "buchberger",
-    "buchberger_flange",
-    "buchberger_transform",
-    "default_order",
-    "deg_join",
-    "deg_leq",
-    "deg_meet",
-    "degrees_in_box",
-    "divide",
-    "element_degree",
-    "express",
-    "format_degree",
-    "format_element",
-    "format_order",
-    "free_presentation",
-    "free_resolution",
-    "graded_dimension",
-    "homology_presentation",
-    "is_groebner",
-    "is_groebner_form",
-    "is_homogeneous",
-    "is_relative_gb",
-    "kernel_of_free_map",
-    "minimal_groebner",
-    "minimal_transform",
-    "module_from_diagram",
-    "monomial_division",
-    "monomialize",
-    "normal_form",
-    "parse_degree",
-    "parse_element",
-    "parse_field",
-    "parse_order",
-    "presentation_dimension",
-    "prune_minimize",
-    "reduce_groebner",
-    "reduce_relative",
-    "relative_buchberger",
-    "relative_division",
-    "relative_schreyer",
-    "s_polynomial",
-    "schreyer_syzygies",
-    "verify_complex",
-]
+# Public names by the module that defines them.
+_EXPORTS = {
+    "elements": (
+        "ModuleElement",
+        "PrimeField",
+        "QQ",
+        "RationalField",
+        "Ring",
+        "format_degree",
+        "format_element",
+        "parse_degree",
+        "parse_element",
+        "parse_field",
+    ),
+    "flange": (
+        "FreeInjectiveMatrix",
+        "buchberger_flange",
+        "free_presentation",
+        "is_groebner_form",
+        "monomial_division",
+    ),
+    "graded": (
+        "GradedMatrix",
+        "deg_join",
+        "deg_leq",
+        "deg_meet",
+        "degrees_in_box",
+        "element_degree",
+        "graded_dimension",
+        "is_homogeneous",
+        "monomialize",
+        "presentation_dimension",
+    ),
+    "groebner": (
+        "buchberger",
+        "buchberger_transform",
+        "divide",
+        "express",
+        "is_groebner",
+        "minimal_groebner",
+        "minimal_transform",
+        "normal_form",
+        "reduce_groebner",
+        "s_polynomial",
+        "schreyer_syzygies",
+    ),
+    "homres": (
+        "Resolution",
+        "VectorDiagram",
+        "betti_numbers",
+        "free_resolution",
+        "homology_presentation",
+        "kernel_of_free_map",
+        "module_from_diagram",
+        "prune_minimize",
+        "verify_complex",
+    ),
+    "orders": (
+        "BaseOrder",
+        "ModuleOrder",
+        "SchreyerOrder",
+        "default_order",
+        "format_order",
+        "parse_order",
+    ),
+    "relative": (
+        "is_relative_gb",
+        "reduce_relative",
+        "relative_buchberger",
+        "relative_division",
+        "relative_schreyer",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(["ContractViolation", "InputError", *_HOME])
+
+
+def _register(name):
+    """Put subquo.<name> in sys.modules and on the package, unexecuted."""
+    spec = importlib.util.find_spec(__name__ + "." + name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    globals()[name] = module
+    spec.loader.exec_module(module)
+
+
+# Not cli: `python -m subquo.cli` would find it in sys.modules and warn.
+for _name in (*_EXPORTS, "files"):
+    _register(_name)
+del _name
+
+
+def __getattr__(name):
+    """A public name, loading its module on first use."""
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(globals()[_HOME[name]], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    """The package's attributes and every public name, loaded or not."""
+    return sorted(set(globals()) | set(__all__))

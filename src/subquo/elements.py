@@ -218,6 +218,25 @@ def mon_divides(m1, m2):
     return m1[0] == m2[0] and exp_divides(m1[1], m2[1])
 
 
+def parse_degree(text, n):
+    """Parse a degree tuple like '(1,0)'."""
+    t = text.strip()
+    if not (t.startswith("(") and t.endswith(")")):
+        raise InputError("bad degree %r (expected '(a,b,...)')" % text)
+    parts = t[1:-1].split(",")
+    if len(parts) != n:
+        raise InputError("degree %r has %d entries, expected %d" % (text, len(parts), n))
+    try:
+        return tuple(int(p.strip()) for p in parts)
+    except ValueError:
+        raise InputError("bad integer in degree %r" % text) from None
+
+
+def format_degree(a):
+    """Render a degree tuple like '(1,0)'."""
+    return "(%s)" % ",".join(str(x) for x in a)
+
+
 class ModuleElement:
     """Immutable element of R^d stored as sparse exact terms.
 

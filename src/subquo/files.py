@@ -2,11 +2,9 @@
 
 import re
 
-from .elements import ModuleElement, format_element, parse_element, parse_field, QQ, Ring
+from . import flange, graded, homres  # run only when a parser below first needs them
+from .elements import ModuleElement, format_degree, format_element, parse_degree, parse_element, parse_field, QQ, Ring
 from .errors import InputError
-from .flange import FreeInjectiveMatrix
-from .graded import GradedMatrix, element_degree, format_degree, is_homogeneous, parse_degree
-from .homres import Resolution, VectorDiagram
 from .orders import default_order, format_order, parse_order
 
 _HEADER_KEYS = ("n", "vars", "field", "order", "rank", "ambient", "minimized", "cogens", "gens", "box")
@@ -121,7 +119,7 @@ def _read_matrix_block(cur, ring, name):
                     parsed[t] = parse_element(t, ring, 1).terms
                 for (_, e), c in parsed[t]:
                     col[(i, e)] = c
-    return GradedMatrix(ring, row_shifts, col_shifts, [ModuleElement(ring, len(row_shifts), col) for col in cols])
+    return graded.GradedMatrix(ring, row_shifts, col_shifts, [ModuleElement(ring, len(row_shifts), col) for col in cols])
 
 
 def _emit_matrix_block(out, mat, name):
@@ -235,9 +233,9 @@ def parse_resolution_file(text, field_text=None):
     for j, col in enumerate(d0.cols):
         if col.is_zero:
             raise InputError("D0 column %d is zero: a generator of V must be nonzero" % (j + 1))
-        if is_homogeneous(col, ambient) and element_degree(col, ambient) != d0.col_shifts[j]:
+        if graded.is_homogeneous(col, ambient) and graded.element_degree(col, ambient) != d0.col_shifts[j]:
             msg = "D0 column %d has degree %s, but its 'cols:' shift is %s"
-            raise InputError(msg % (j + 1, format_degree(element_degree(col, ambient)), format_degree(d0.col_shifts[j])))
+            raise InputError(msg % (j + 1, format_degree(graded.element_degree(col, ambient)), format_degree(d0.col_shifts[j])))
     diffs = []
     level = 1
     while cur.peek() is not None:
@@ -247,7 +245,7 @@ def parse_resolution_file(text, field_text=None):
             raise InputError("D%d row shifts must repeat the previous column shifts" % level)
         diffs.append(mat)
         level += 1
-    return Resolution(ring, order, ambient, u_gens, d0.cols, diffs, minimized)
+    return homres.Resolution(ring, order, ambient, u_gens, d0.cols, diffs, minimized)
 
 
 def emit_resolution_file(res):
@@ -284,7 +282,7 @@ def parse_fim_file(text, order_text=None, field_text=None):
     if cur.peek() is not None:
         raise InputError("unexpected content after matrix rows: %r" % cur.peek())
     order = _order_for(headers, ring, len(alpha), order_text)
-    return FreeInjectiveMatrix(ring, alpha, beta, entries), order
+    return flange.FreeInjectiveMatrix(ring, alpha, beta, entries), order
 
 
 def emit_fim_file(mat, order=None):
@@ -350,7 +348,7 @@ def parse_diagram_file(text, field_text=None):
         for a in dims:
             if dims[a] and any(x > y for x, y in zip(a, box)):
                 raise InputError("dimension at %s lies outside the stated box" % (a,))
-    return VectorDiagram(ring, dims, maps)
+    return homres.VectorDiagram(ring, dims, maps)
 
 
 def emit_module_pair_file(ring, rank, v_gens, u_gens, order=None):

@@ -197,20 +197,23 @@ def free_presentation(mat, order):
     relation sum(sigma_j * column_j) lying in the cofree kernel. The unit
     relation e_j in degree beta_j of each zero column j comes first, then the
     column-pair relations, then the column-relation ones ordered by row; zero
-    and repeated relations are dropped. A pair that does not reduce to zero
-    raises ContractViolation with the witness of is_groebner_form.
+    and repeated relations are dropped, and so are the multiples of the unit
+    relations (a relation on zero columns only). A pair that does not reduce
+    to zero raises ContractViolation with the witness of is_groebner_form.
     """
     _require_supported(mat)
     ring = mat.ring
+    zero = {j for j in range(mat.ncols) if not any(row[j] for row in mat.entries)}
     lifted = {}
     for name, lam, rem, sig in _flange_pairs(mat, order):
         if rem:
             raise ContractViolation("matrix is not in Groebner form: %s" % _witness(name, ring))
+        if sig.keys() <= zero:
+            continue  # a multiple of the unit relations, which come first
         terms = {(j, exp_sub(lam, mat.beta[j])): c for j, c in sig.items()}
         lifted[name] = ModuleElement(ring, mat.ncols, terms), lam
     names = [nm for nm in lifted if nm[0] == "cc"] + sorted(nm for nm in lifted if nm[0] == "ct")
-    units = [(ModuleElement.monomial(ring, mat.ncols, j, (0,) * ring.n), b)
-             for j, b in enumerate(mat.beta) if not any(row[j] for row in mat.entries)]
+    units = [(ModuleElement.monomial(ring, mat.ncols, j, (0,) * ring.n), mat.beta[j]) for j in sorted(zero)]
     out, out_deg, seen = [], [], set()
     for sig, lam in units + [lifted[nm] for nm in names]:
         if not sig.is_zero and sig not in seen:

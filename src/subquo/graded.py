@@ -8,25 +8,6 @@ from .elements import ModuleElement, exp_add, exp_divides, exp_lcm
 from .errors import ContractViolation, InputError
 
 
-def parse_degree(text, n):
-    """Parse a degree tuple like '(1,0)'."""
-    t = text.strip()
-    if not (t.startswith("(") and t.endswith(")")):
-        raise InputError("bad degree %r (expected '(a,b,...)')" % text)
-    parts = t[1:-1].split(",")
-    if len(parts) != n:
-        raise InputError("degree %r has %d entries, expected %d" % (text, len(parts), n))
-    try:
-        return tuple(int(p.strip()) for p in parts)
-    except ValueError:
-        raise InputError("bad integer in degree %r" % text) from None
-
-
-def format_degree(a):
-    """Render a degree tuple like '(1,0)'."""
-    return "(%s)" % ",".join(str(x) for x in a)
-
-
 # A degree a is <= b exactly when X^a divides X^b, and the join of two
 # degrees is the exponent of the lcm of their monomials.
 deg_leq, deg_join = exp_divides, exp_lcm

@@ -1047,7 +1047,8 @@ class TestFlange:
     ZERO_COLUMN_FIM = "n: 2\nvars: X1 X2\ncogens: (1,1)\ngens: (0,0) (0,0)\nrows:\n1 0\n"
 
     def test_flange_pres_keeps_zero_column_relation(self, tmp_path, monkeypatch, capsys):
-        # column 2 is zero, so e2 itself is a relation: M = k[X1, X2]/(X1^2, X2^2)
+        # column 2 is zero, so e2 itself is a relation: M = k[X1, X2]/(X1^2, X2^2);
+        # X1^2 e2 and X2^2 e2 are multiples of it and are left out
         path = tmp_path / "zero.fim"
         path.write_text(self.ZERO_COLUMN_FIM)
         code, out, err = run_cli(monkeypatch, capsys, "flange-pres", str(path))
@@ -1055,9 +1056,9 @@ class TestFlange:
         assert out.splitlines()[4:] == [
             "D1:",
             "rows: (0,0) (0,0)",
-            "cols: (0,0) (2,0) (0,2) (2,0) (0,2)",
-            "0 X1^2 X2^2 0 0",
-            "1 0 0 X1^2 X2^2",
+            "cols: (0,0) (2,0) (0,2)",
+            "0 X1^2 X2^2",
+            "1 0 0",
         ]
 
     @pytest.mark.parametrize("header", ["cogens", "gens"])
@@ -1363,14 +1364,61 @@ def _fresh_import(code):
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
+LIBRARY = {"elements", "orders", "groebner", "relative", "graded", "homres", "flange", "files"}
+
+# Run by _fresh_import with ARGV bound: the subquo modules loaded (executed)
+# when argparse is first imported, then the exit code, the loaded modules and
+# the registered modules not yet executed (LazyLoader's stand-ins) at the end.
+_PROBE = """
+import contextlib, io, sys, types
+import subquo.cli as cli
+
+def modules(pending):
+    return " ".join(sorted(
+        name[len("subquo."):] for name, mod in sys.modules.items()
+        if name.startswith("subquo.") and (type(mod) is not types.ModuleType) == pending
+    ))
+
+first = []
+
+class ArgparseImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "argparse" and not first:
+            first.append(modules(False))
+
+sys.meta_path.insert(0, ArgparseImport())
+sys.argv = ["subquo"] + ARGV
+code = 0
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main()
+except SystemExit as exc:
+    code = exc.code
+print(first[0] if first else "-")
+print(code)
+print(modules(False))
+print(modules(True))
+"""
+
+
+def _probe(*argv):
+    """(loaded when argparse is imported, exit code, loaded at exit, still
+    lazy at exit) for one command run in a new interpreter; module names
+    without 'subquo.'."""
+    out = _fresh_import("ARGV = %r\n" % list(argv) + _PROBE).split("\n")
+    return out[0], int(out[1]), set(out[2].split()), set(out[3].split())
+
+
 class TestTracerContract:
-    """What an outside tracer relies on: `import subquo.cli` loads every
+    """What an outside tracer relies on: `import subquo.cli` registers every
     library module, and dispatch looks callbacks up in `cli.commands`."""
 
     def test_library_modules_loaded(self):
-        out = _fresh_import("import subquo.cli, sys; print(' '.join(sorted(sys.modules)))")
+        # registered in sys.modules (the tracer looks them up there), none run yet
+        code = "import subquo.cli, sys, types; print(*(n for n, m in sys.modules.items() if type(m) is not types.ModuleType))"
+        pending = _fresh_import(code).split()
         for name in ("groebner", "relative", "homres", "graded", "flange"):
-            assert "subquo." + name in out.split()
+            assert "subquo." + name in pending
 
     def test_dispatch_calls_current_callback(self, files, monkeypatch, capsys):
         import subquo.cli
@@ -1401,6 +1449,77 @@ class TestTracerContract:
             for part in name.split("."):
                 obj = getattr(obj, part, None)
             assert callable(obj), "subquo.%s.%s" % (mod, name)
+
+
+class TestLazyLoading:
+    """Each command loads only the library modules it runs, all of them
+    before argparse is imported, and so before it reads any input: modules
+    compiled after argparse, or while a parsed file is alive, raised the
+    peak memory of a verify job."""
+
+    @pytest.mark.parametrize(
+        "argv, lazy",
+        [
+            (["gb", "u5.mod"], {"homres", "graded", "flange", "relative"}),
+            (["relgb", "u5.mod", "v5.mod"], {"homres", "graded", "flange"}),
+            (["--help"], LIBRARY),
+        ],
+        ids=["gb", "relgb", "help"],
+    )
+    def test_command_leaves_modules_lazy(self, argv, lazy, files):
+        _, code, _, pending = _probe(*[files.get(a, a) for a in argv])
+        assert (code, pending) == (0, lazy)
+
+    BASE = {"cli", "errors", "elements", "orders", "files"}
+    ALL_BUT_FLANGE = BASE | {"groebner", "relative", "graded", "homres"}
+    COMMAND_MODULES = [
+        (["gb", "u5.mod"], BASE | {"groebner"}),
+        (["relgb", "u5.mod", "v5.mod"], BASE | {"groebner", "relative"}),
+        (["syz", "g3.mod"], BASE | {"groebner"}),
+        (["relsyz", "u2.mod", "v2.mod"], BASE | {"groebner", "relative"}),
+        (["respres", "u2.mod", "v2.mod"], ALL_BUT_FLANGE),
+        (["resolution", "u2.mod", "v2.mod"], ALL_BUT_FLANGE),
+        (["minimize", "res2.res"], ALL_BUT_FLANGE),
+        (["betti", "res2.res"], ALL_BUT_FLANGE),
+        (["hilbert", "u2.mod", "v2.mod", "--box", "(0,0)..(2,2)"], BASE | {"graded"}),
+        (["flange-gb", "atilde.fim"], BASE | {"groebner", "relative", "graded", "flange"}),
+        (["flange-pres", "done.fim"], BASE | {"groebner", "relative", "graded", "flange"}),
+        (["homology", "c42.cpx"], ALL_BUT_FLANGE),
+        (["from-diagram", "m.diag"], ALL_BUT_FLANGE),
+        (["verify", "min2.res"], ALL_BUT_FLANGE),
+    ]
+
+    @pytest.mark.parametrize("argv, loaded", COMMAND_MODULES, ids=[argv[0] for argv, _ in COMMAND_MODULES])
+    def test_modules_load_before_argparse(self, argv, loaded, files):
+        at_argparse, code, at_exit, _ = _probe(*[files.get(a, a) for a in argv])
+        assert code == 0
+        assert set(at_argparse.split()) == at_exit == loaded
+
+    def test_every_command_is_probed(self):
+        import subquo.cli
+
+        assert sorted(argv[0] for argv, _ in self.COMMAND_MODULES) == sorted(subquo.cli.cli.commands)
+
+    def test_library_surface(self):
+        import subquo
+
+        assert len(subquo.__all__) == 58
+        for name in subquo.__all__:
+            assert getattr(subquo, name) is not None
+            assert name in dir(subquo)
+        scope = {}
+        exec("from subquo import *", scope)
+        assert set(subquo.__all__) <= set(scope)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            subquo.no_such_name
+
+    def test_degree_helpers_live_in_elements(self):
+        import subquo
+        from subquo import elements
+
+        for name in ("parse_degree", "format_degree"):
+            assert getattr(subquo, name) is getattr(elements, name)
+            assert getattr(elements, name).__module__ == "subquo.elements"
 
 
 class TestDeadCode:

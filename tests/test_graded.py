@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from subquo.elements import ModuleElement, PrimeField, QQ, Ring, exp_sub, mon_divides, parse_element, parse_field
+from subquo.elements import (
+    ModuleElement, PrimeField, QQ, Ring, exp_sub, format_degree, mon_divides, parse_degree, parse_element, parse_field,
+)
 from subquo.errors import ContractViolation, InputError
 from subquo.graded import (
     GradedMatrix,
@@ -14,14 +16,12 @@ from subquo.graded import (
     deg_meet,
     degrees_in_box,
     element_degree,
-    format_degree,
     graded_dimension,
     graded_dimensions,
     is_homogeneous,
     matrix_rank,
     monomialize,
     nullspace_basis,
-    parse_degree,
     presentation_dimension,
     rref,
 )
