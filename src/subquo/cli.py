@@ -2,10 +2,11 @@
 
 The library modules imported below are the package's unexecuted stand-ins
 (see subquo/__init__.py): each runs on first use, so a command compiles only
-the module its Command entry names and what that module imports. argparse
-is imported inside functions only, after Cli.parse has run those modules.
+the modules its Command entry names and what those import. argparse is
+imported inside functions only, after Cli.parse has run those modules.
 """
 
+import gc
 import os
 import sys
 import tempfile
@@ -231,21 +232,21 @@ def _parser(**kwargs):
 
 
 class Command:
-    """One subcommand: the function it runs, the library module it calls
-    (whose imports bring in the others it uses), its input files and its
-    options.
+    """One subcommand: the function it runs, the library modules its path
+    reaches through the package's lazy module references (their own
+    from-imports bring in the rest), its input files and its options.
 
     Dispatch looks ``callback`` up when the command runs, so a caller may
     rebind it, as the benchmark's tracer does; the help text is kept apart.
     """
 
-    def __init__(self, callback, module, inputs, *options):
-        self.callback, self.doc, self.module = callback, callback.__doc__, module
+    def __init__(self, callback, modules, inputs, *options):
+        self.callback, self.doc, self.modules = callback, callback.__doc__, modules
         self.files, self.options = inputs.split(), options
 
     def load(self):
         """Run the command's modules; with them run their own imports."""
-        for module in (files, self.module):
+        for module in (files, *self.modules):
             vars(module)  # any attribute access runs a lazy module
 
 
@@ -292,33 +293,35 @@ _ORDER = (["--order"], dict(dest="order_text", metavar="SPEC", help="Monomial or
 _FIELD = (["--field"], dict(dest="field_text", metavar="F", help="Coefficient field: 'q' (default) or 'fp:<p>'."))
 _OUT = (["-o", "--output"], dict(type=_file_path, metavar="FILE", help="Write to a file instead of stdout."))
 
+_RESOLVE = (homres, groebner, relative)  # free_resolution and homology_presentation
+
 cli = Cli({
-    "gb": Command(gb, groebner, "module_file", _ORDER, _FIELD, _OUT),
-    "relgb": Command(relgb, relative, "u_file v_file", _ORDER, _FIELD, _OUT),
-    "syz": Command(syz, groebner, "module_file", _ORDER, _FIELD, _OUT),
-    "relsyz": Command(relsyz, relative, "u_file h_file", _ORDER, _FIELD, _OUT),
-    "respres": Command(respres, homres, "u_file v_file", _ORDER, _FIELD, _OUT),
+    "gb": Command(gb, (groebner,), "module_file", _ORDER, _FIELD, _OUT),
+    "relgb": Command(relgb, (groebner, relative), "u_file v_file", _ORDER, _FIELD, _OUT),
+    "syz": Command(syz, (groebner,), "module_file", _ORDER, _FIELD, _OUT),
+    "relsyz": Command(relsyz, (groebner, relative), "u_file h_file", _ORDER, _FIELD, _OUT),
+    "respres": Command(respres, _RESOLVE, "u_file v_file", _ORDER, _FIELD, _OUT),
     "resolution": Command(
-        resolution, homres, "u_file v_file",
+        resolution, _RESOLVE, "u_file v_file",
         (["--length"], dict(type=_length, metavar="K", help="Number of differentials to compute, K >= 0.")), _ORDER, _FIELD, _OUT,
     ),
-    "minimize": Command(minimize, homres, "res_file", _FIELD, _OUT),
-    "betti": Command(betti, homres, "res_file", _FIELD),
+    "minimize": Command(minimize, (homres,), "res_file", _FIELD, _OUT),
+    "betti": Command(betti, (homres,), "res_file", _FIELD),
     "hilbert": Command(
-        hilbert, graded, "u_file v_file",
+        hilbert, (graded,), "u_file v_file",
         (["--degree"], dict(dest="degree_text", metavar="DEG", help="Single degree, e.g. '(1,2)'.")),
         (["--box"], dict(dest="box_text", metavar="LO..HI", help="Degree box, e.g. '(0,0)..(4,3)'.")), _ORDER, _FIELD,
     ),
-    "flange-gb": Command(flange_gb, flange, "fim_file", _ORDER, _FIELD, _OUT),
-    "flange-pres": Command(flange_pres, flange, "fim_file", _ORDER, _FIELD, _OUT),
+    "flange-gb": Command(flange_gb, (flange,), "fim_file", _ORDER, _FIELD, _OUT),
+    "flange-pres": Command(flange_pres, (flange,), "fim_file", _ORDER, _FIELD, _OUT),
     "homology": Command(
-        homology, homres, "complex_file",
+        homology, _RESOLVE, "complex_file",
         (["--minimize"], dict(dest="do_min", action="store_true", help="Prune the presentation afterwards.")),
         _ORDER, _FIELD, _OUT,
     ),
-    "from-diagram": Command(from_diagram, homres, "diagram_file", _FIELD, _OUT),
+    "from-diagram": Command(from_diagram, (homres, groebner), "diagram_file", _FIELD, _OUT),
     "verify": Command(
-        verify, homres, "res_file",
+        verify, (homres,), "res_file",
         (["--box"], dict(dest="box_text", metavar="LO..HI", help="Degree box to check, e.g. '(0,0)..(4,3)'.")), _FIELD,
     ),
 })
@@ -337,5 +340,15 @@ def main():
         sys.exit(2 if isinstance(err, ContractViolation) else 1)
 
 
+def run():
+    """The process entry point: main(), then gc.freeze() however it exits,
+    so the interpreter's full collections at exit skip the finished run's
+    heap. Tests and in-process callers call main(), which freezes nothing."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

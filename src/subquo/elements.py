@@ -2,7 +2,6 @@
 
 import operator
 import re
-from fractions import Fraction
 
 from .errors import InputError
 
@@ -67,19 +66,29 @@ class FpValue:
 
 
 class RationalField:
-    """The field of rationals with exact Fraction arithmetic."""
+    """The field of rationals with exact Fraction arithmetic.
+
+    fractions (which imports decimal) is imported on first use of zero, one
+    or a constructor, so a run over fp:<p> never loads it.
+    """
 
     name = "q"
-    zero = Fraction(0)
-    one = Fraction(1)
+
+    def __getattr__(self, name):
+        if name not in ("zero", "one", "_fraction"):
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        from fractions import Fraction
+
+        self._fraction, self.zero, self.one = Fraction, Fraction(0), Fraction(1)
+        return getattr(self, name)
 
     def from_int(self, k):
-        return Fraction(k)
+        return self._fraction(k)
 
     def from_fraction(self, num, den=1):
         if den == 0:
             raise InputError("zero denominator in coefficient")
-        return Fraction(num, den)
+        return self._fraction(num, den)
 
     def format(self, c):
         return str(c)

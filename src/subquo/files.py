@@ -308,22 +308,20 @@ def emit_matrix_file(ring, mat, order=None):
     return "\n".join(out) + "\n"
 
 
-_DIM_RE = re.compile(r"^dim\s+(\([^)]*\)):\s*(\S.*)$")
-_MAP_RE = re.compile(r"^map\s+(\d+)\s+(\([^)]*\)):\s*(\S.*)$")
-
-
 def parse_diagram_file(text, field_text=None):
     """Diagram file: ring headers, then 'dim (a):' and 'map k (a):' lines.
 
     Map rows are ';'-separated, entries space-separated; k names the variable
     acting, with source degree (a).
     """
+    dim_re = re.compile(r"^dim\s+(\([^)]*\)):\s*(\S.*)$")  # compiled here: only from-diagram reads them
+    map_re = re.compile(r"^map\s+(\d+)\s+(\([^)]*\)):\s*(\S.*)$")
     cur, headers, ring = _open(text, field_text)
     box = parse_degree(headers["box"], ring.n) if "box" in headers else None
     dims, maps = {}, {}
     while cur.peek() is not None:
         line = cur.next()
-        m = _DIM_RE.match(line)
+        m = dim_re.match(line)
         if m:
             a = parse_degree(m.group(1), ring.n)
             try:
@@ -331,7 +329,7 @@ def parse_diagram_file(text, field_text=None):
             except ValueError:
                 raise InputError("bad dimension in %r" % line) from None
             continue
-        m = _MAP_RE.match(line)
+        m = map_re.match(line)
         if m:
             k = int(m.group(1)) - 1
             if not 0 <= k < ring.n:

@@ -9,10 +9,10 @@ monomial_division is the division of a general element.
 
 from collections import deque
 
+from . import relative  # run on first use: the flange commands never call it
 from .elements import ModuleElement, exp_sub
 from .errors import ContractViolation, InputError
 from .graded import GradedMatrix, _axpy, _reduce_at, deg_join, deg_leq
-from .relative import relative_division
 
 
 class FreeInjectiveMatrix:
@@ -98,7 +98,7 @@ def monomial_division(f, mat, order):
     """Divide any element f of the row module by the cofree relations and then
     the columns of mat, returning (remainder, quotients over the columns)."""
     cofree = [u for _, _, u in mat.cofree_relations()]
-    return relative_division(f, cofree, mat.columns(), order.for_rank(mat.nrows))
+    return relative.relative_division(f, cofree, mat.columns(), order.for_rank(mat.nrows))
 
 
 def _flange_pairs(mat, order, grow=False):
@@ -118,6 +118,18 @@ def _flange_pairs(mat, order, grow=False):
     pair's syzygy, are those of the general division. With grow, column
     pairs come j1 outer, and each nonzero remainder is appended as the
     column X^lam * rem, whose pairs are queued next.
+
+    A ct pair reduces column j itself at lam: the entry of row i, which the
+    cofree relation cancels, is one the cap drops anyway, since lam_k =
+    alpha_ik + 1 > alpha_ik. So only the first ct pair of each (j, lam) is
+    reduced and yielded, and its repeats are skipped, which changes no
+    caller's output. Without grow a repeat would give the same (rem, sig).
+    free_presentation keeps the first of equal relations, and a column's ct
+    pairs run in (i, k) order, their sorted order, so the copy it keeps is
+    the one yielded; is_groebner_form meets the same copy first. With grow,
+    once the first remainder is appended as a column, a repeat reduces to
+    zero: it takes the same steps down to the first row of that remainder,
+    which the new column cancels, leaving nothing.
     """
     alpha, s, n, one = mat.alpha, mat.nrows, mat.ring.n, mat.ring.field.one
     rank = order.for_rank(s).comp_rank.__getitem__
@@ -131,6 +143,7 @@ def _flange_pairs(mat, order, grow=False):
             index.setdefault(r, []).append(j)
     queue = deque(sorted(pairs) if grow else pairs)
     queue.extend(("ct", i, j, k) for j in range(len(cols)) for i in range(s) for k in range(n))
+    reduced = set()  # (j, lam) of the ct pairs reduced so far
     while queue:
         name = queue.popleft()
         if name[0] == "cc":
@@ -142,7 +155,10 @@ def _flange_pairs(mat, order, grow=False):
         else:
             _, i, j, k = name
             lam = deg_join(beta[j], tuple(alpha[i][k] + 1 if v == k else 0 for v in range(n)))
-            vec, sig = {r: c for r, c in cols[j].items() if r != i}, {j: one}
+            if (j, lam) in reduced:
+                continue
+            reduced.add((j, lam))
+            vec, sig = dict(cols[j]), {j: one}
         rem = _reduce_at(vec, sig, lam, rank, index, cols, beta, alpha)
         if grow and rem:
             new, r = len(cols), max(rem, key=rank)

@@ -141,9 +141,8 @@ def _box_ranks(rows, lo, hi):
     S-vector at the join of their degrees, formed only when that join is
     <= hi. So every S-vector of degree <= a reduces to zero, and the basis
     elements of degree <= a are a Groebner basis in degree a, for any a <=
-    hi: the rank at a is the number of distinct leads among them. The leads
-    at or below each degree of the box are one bitmask, the union of those
-    of its predecessors along each axis and of the elements clamped to it.
+    hi: the rank at a is the number of distinct leads among them, which
+    _lead_counts counts.
     """
     heap = [(sum(d), d, k, dict(vec)) for k, (d, vec) in enumerate(rows) if deg_leq(d, hi)]
     heapq.heapify(heap)
@@ -166,11 +165,19 @@ def _box_ranks(rows, lo, hi):
         index.setdefault(c, []).append(len(vecs))
         vecs.append(vec)
         degs.append(lam)
+    yield from _lead_counts(((degs[k], i) for i, ks in enumerate(index.values()) for k in ks), lo, hi)
+
+
+def _lead_counts(leads, lo, hi):
+    """Number of distinct leads at or below each degree of degrees_in_box(lo,
+    hi), for leads given as (degree, lead number) pairs, one per basis
+    element. The leads at or below a degree of the box are one bitmask, the
+    union of those of its predecessors along each axis and of the elements
+    clamped to it (an element not <= hi clamps outside the box)."""
     own = {}  # degree clamped to lo -> bitmask of the leads of elements there
-    for i, ks in enumerate(index.values()):
-        for k in ks:
-            d = deg_join(degs[k], lo)
-            own[d] = own.get(d, 0) | 1 << i
+    for d, i in leads:
+        d = deg_join(d, lo)
+        own[d] = own.get(d, 0) | 1 << i
     strides = [1]
     for l, h in zip(lo, hi):
         strides.append(strides[-1] * (h - l + 1))

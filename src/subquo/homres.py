@@ -1,17 +1,13 @@
 """Homology presentations, free resolutions, pruning and diagram realizations."""
 
+from . import groebner, relative  # run on first use: verify, minimize and betti never call them
 from .elements import ModuleElement, exp_add, exp_sub
 from .errors import ContractViolation, InputError
 from .graded import (
-    GradedMatrix, _add_row, _axpy, _box_ranks, _element_rows, _reduce_at, _spans, deg_join, deg_leq, deg_meet,
-    degrees_in_box, element_degree, graded_dimensions, is_homogeneous, monomialize,
-)
-from .groebner import (
-    _divide, _index, buchberger, buchberger_transform, minimal_groebner, minimal_transform, reduce_groebner,
-    schreyer_syzygies,
+    GradedMatrix, _add_row, _axpy, _box_ranks, _element_rows, _lead_counts, _reduce_at, _spans, deg_join, deg_leq,
+    deg_meet, degrees_in_box, element_degree, graded_dimensions, is_homogeneous, monomialize,
 )
 from .orders import SchreyerOrder, default_order
-from .relative import reduce_relative, relative_buchberger, relative_schreyer
 
 
 def kernel_of_free_map(mat, order):
@@ -21,11 +17,11 @@ def kernel_of_free_map(mat, order):
     m = len(cols)
     zero_exp = (0,) * ring.n
     order = order.for_rank(mat.nrows)
-    G, exprs = buchberger_transform(cols, order)
+    G, exprs = groebner.buchberger_transform(cols, order)
     if not G:
         return [ModuleElement.monomial(ring, m, j, zero_exp) for j in range(m)]
-    G2, A = minimal_transform(G, exprs, order)
-    W, _ = schreyer_syzygies(G2, order)
+    G2, A = groebner.minimal_transform(G, exprs, order)
+    W, _ = groebner.schreyer_syzygies(G2, order)
     out = []
     for w in W:
         v = ModuleElement.zero(ring, m)
@@ -33,16 +29,17 @@ def kernel_of_free_map(mat, order):
             v = v + A[k].mul_term(c, e)
         if not v.is_zero:
             out.append(v)
-    index = _index([g.leading(order) for g in G2])
+    index = groebner._index([g.leading(order) for g in G2])
     for j, col in enumerate(cols):
-        quots, _ = _divide(col, G2, order, index)  # zero remainder: G2 is a Groebner basis of the columns' span
+        # zero remainder: G2 is a Groebner basis of the columns' span
+        quots, _ = groebner._divide(col, G2, order, index)
         v = ModuleElement.monomial(ring, m, j, zero_exp)
         for k in sorted(quots):
             v = v - A[k].mul_poly(ModuleElement(ring, 1, quots[k]))
         if not v.is_zero:
             out.append(v)
     korder = order.for_rank(m)
-    return minimal_groebner(buchberger(out, korder), korder)
+    return groebner.minimal_groebner(groebner.buchberger(out, korder), korder)
 
 
 class Resolution:
@@ -83,7 +80,7 @@ class Resolution:
 
 def _inner_basis(u_gens, order):
     """Reduced Groebner basis of the inner submodule."""
-    return reduce_groebner(buchberger(u_gens, order), order)
+    return groebner.reduce_groebner(groebner.buchberger(u_gens, order), order)
 
 
 def _graded_inner_basis(u_gens, order, shifts):
@@ -138,12 +135,12 @@ def _resolve(ring, v_gens, g_u, order, aorder, shifts, length):
     order at the rank of the ambient free module. Once h is checked to be
     homogeneous, every column is so by construction, so each level past the
     first comes from _level_syzygies."""
-    h = reduce_relative(relative_buchberger(v_gens, g_u, aorder), g_u, aorder)
+    h = relative.reduce_relative(relative.relative_buchberger(v_gens, g_u, aorder), g_u, aorder)
     res = Resolution(ring, order, shifts, g_u, h, [])
     if not h:
         return res
     cur_shifts = [element_degree(x, shifts) for x in h]
-    cols, sord = relative_schreyer(h, g_u, aorder)
+    cols, sord = relative.relative_schreyer(h, g_u, aorder)
     degs = [element_degree(c, cur_shifts) for c in cols]
     limit = ring.n + 1 if length is None else length
     while cols and len(res.diffs) < limit:
@@ -533,8 +530,10 @@ def verify_complex(res, box=None):
     else:
         lo, hi = box
     # One rank stream per level (the identity of its free module), per
-    # differential and for the module, all in degrees_in_box order.
-    streams = [_box_ranks([(s, {j: 1}) for j, s in enumerate(degs)], lo, hi) for degs in levels]
+    # differential and for the module, all in degrees_in_box order. The unit
+    # rows (s_j, {j: 1}) of a level have distinct leads j: they are their own
+    # basis, so its rank at a counts the shifts s_j <= a.
+    streams = [_lead_counts(((s, j) for j, s in enumerate(degs)), lo, hi) for degs in levels]
     streams += [_box_ranks(c, lo, hi) for c in cols]
     wants = graded_dimensions(res.gens, res.u_gens, shifts, lo, hi)
     for a, want, *counts in zip(degrees_in_box(lo, hi), wants, *streams):

@@ -1451,6 +1451,57 @@ class TestTracerContract:
             assert callable(obj), "subquo.%s.%s" % (mod, name)
 
 
+def _subquo(*args):
+    """(exit code, stdout, stderr) of `python -m subquo.cli ARGS` in a new
+    interpreter with this checkout's src on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "subquo.cli", *args], env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcessExit:
+    """A process runs main() through cli.run, which freezes the heap in a
+    finally; exit codes, stdout and -o writes must be those of main()."""
+
+    def test_gb_to_stdout(self, files):
+        assert _subquo("gb", files["u5.mod"]) == (0, GB5_OUT, "")
+
+    def test_gb_to_file(self, files, tmp_path):
+        target = tmp_path / "gb.mod"
+        assert _subquo("gb", files["u5.mod"], "-o", str(target)) == (0, "", "")
+        assert target.read_text() == GB5_OUT
+
+    def test_unknown_option_exits_1_with_usage(self, files):
+        code, out, err = _subquo("gb", files["u5.mod"], "--frobnicate")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: subquo gb ")
+        assert "Error: unrecognized arguments: --frobnicate" in err
+
+    def test_contract_violation_exits_2(self, files):
+        code, out, err = _subquo("syz", files["notgb.mod"])
+        assert (code, out) == (2, "")
+        assert "not a Groebner basis" in err
+
+    def test_help_exits_0(self):
+        code, out, err = _subquo("--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: subquo ")
+
+    def test_run_freezes_the_heap(self):
+        code = (
+            "import contextlib, gc, io, sys\nimport subquo.cli as cli\nsys.argv = ['subquo', '--help']\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n    cli.run()\n"
+            "print(gc.get_freeze_count() > 0)"
+        )
+        assert _fresh_import(code) == "True\n"
+
+    def test_console_script_is_run(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as fh:
+            assert '[project.scripts]\nsubquo = "subquo.cli:run"\n' in fh.read()
+
+
 class TestLazyLoading:
     """Each command loads only the library modules it runs, all of them
     before argparse is imported, and so before it reads any input: modules
@@ -1462,16 +1513,19 @@ class TestLazyLoading:
         [
             (["gb", "u5.mod"], {"homres", "graded", "flange", "relative"}),
             (["relgb", "u5.mod", "v5.mod"], {"homres", "graded", "flange"}),
+            (["verify", "min2.res"], {"groebner", "relative", "flange"}),
+            (["flange-pres", "done.fim"], {"groebner", "relative", "homres"}),
             (["--help"], LIBRARY),
         ],
-        ids=["gb", "relgb", "help"],
+        ids=["gb", "relgb", "verify", "flange-pres", "help"],
     )
     def test_command_leaves_modules_lazy(self, argv, lazy, files):
         _, code, _, pending = _probe(*[files.get(a, a) for a in argv])
         assert (code, pending) == (0, lazy)
 
     BASE = {"cli", "errors", "elements", "orders", "files"}
-    ALL_BUT_FLANGE = BASE | {"groebner", "relative", "graded", "homres"}
+    SCALAR = BASE | {"graded", "homres"}
+    ALL_BUT_FLANGE = SCALAR | {"groebner", "relative"}
     COMMAND_MODULES = [
         (["gb", "u5.mod"], BASE | {"groebner"}),
         (["relgb", "u5.mod", "v5.mod"], BASE | {"groebner", "relative"}),
@@ -1479,14 +1533,14 @@ class TestLazyLoading:
         (["relsyz", "u2.mod", "v2.mod"], BASE | {"groebner", "relative"}),
         (["respres", "u2.mod", "v2.mod"], ALL_BUT_FLANGE),
         (["resolution", "u2.mod", "v2.mod"], ALL_BUT_FLANGE),
-        (["minimize", "res2.res"], ALL_BUT_FLANGE),
-        (["betti", "res2.res"], ALL_BUT_FLANGE),
+        (["minimize", "res2.res"], SCALAR),
+        (["betti", "res2.res"], SCALAR),
         (["hilbert", "u2.mod", "v2.mod", "--box", "(0,0)..(2,2)"], BASE | {"graded"}),
-        (["flange-gb", "atilde.fim"], BASE | {"groebner", "relative", "graded", "flange"}),
-        (["flange-pres", "done.fim"], BASE | {"groebner", "relative", "graded", "flange"}),
+        (["flange-gb", "atilde.fim"], BASE | {"graded", "flange"}),
+        (["flange-pres", "done.fim"], BASE | {"graded", "flange"}),
         (["homology", "c42.cpx"], ALL_BUT_FLANGE),
-        (["from-diagram", "m.diag"], ALL_BUT_FLANGE),
-        (["verify", "min2.res"], ALL_BUT_FLANGE),
+        (["from-diagram", "m.diag"], SCALAR | {"groebner"}),
+        (["verify", "min2.res"], SCALAR),
     ]
 
     @pytest.mark.parametrize("argv, loaded", COMMAND_MODULES, ids=[argv[0] for argv, _ in COMMAND_MODULES])
@@ -1494,6 +1548,16 @@ class TestLazyLoading:
         at_argparse, code, at_exit, _ = _probe(*[files.get(a, a) for a in argv])
         assert code == 0
         assert set(at_argparse.split()) == at_exit == loaded
+
+    def test_fp_run_never_imports_fractions(self, files):
+        # RationalField imports fractions (and with it decimal) on first use
+        code = (
+            "import contextlib, io, sys\nimport subquo.cli as cli\n"
+            "sys.argv = ['subquo', 'gb', %r, '--field', 'fp:32003']\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n    cli.main()\n"
+            "print(out.getvalue() == %r, 'fractions' in sys.modules, 'decimal' in sys.modules)"
+        ) % (files["u5.mod"], GB5_OUT.replace("field: q", "field: fp:32003"))
+        assert _fresh_import(code) == "True False False\n"
 
     def test_every_command_is_probed(self):
         import subquo.cli

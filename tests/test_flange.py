@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from subquo import flange, graded, groebner, homres
+from subquo import flange, graded, groebner, homres, relative
 from subquo.elements import QQ, ModuleElement, Ring, parse_element, parse_field
 from subquo.errors import ContractViolation, InputError
 from subquo.flange import (
@@ -234,7 +234,7 @@ class TestScalarColumns:
         check()
 
     @pytest.mark.parametrize(
-        "spec, counts", [("grlex X1 X2 ; pot asc", (61, 62)), ("grevlex X1 X2 ; pot desc", (36, 36))]
+        "spec, counts", [("grlex X1 X2 ; pot asc", (34, 35)), ("grevlex X1 X2 ; pot desc", (13, 13))]
     )
     def test_flange_work_is_pinned(self, ring2, monkeypatch, spec, counts):
         # graded._axpy steps of buchberger_flange, then of free_presentation,
@@ -260,7 +260,7 @@ class TestScalarColumns:
             raise AssertionError("general division called")
 
         monkeypatch.setattr(groebner, "divide", never)
-        monkeypatch.setattr(flange, "relative_division", never)
+        monkeypatch.setattr(relative, "relative_division", never)
         assert buchberger_flange(fim_small(ring2), order) == fim_small_completed(ring2)
         assert is_groebner_form(fim_small(ring2), order) == (False, "S-polynomial of columns 1 and 2")
         pres = free_presentation(fim_small_completed(ring2), order)
