@@ -52,8 +52,6 @@ _EXPORTS = {
         "divide",
         "express",
         "is_groebner",
-        "minimal_groebner",
-        "minimal_transform",
         "normal_form",
         "reduce_groebner",
         "s_polynomial",

@@ -92,17 +92,12 @@ def _complete(G, order, exprs=None, done=0):
     Gebauer-Moller update: the chain criterion on pending pairs, one pair per
     minimal lcm among new ones, and coprime leading terms in rank 1 only.
     S-polynomials are divided by one divisor index of G, extended as G grows.
-    Untracked pairs are taken by the order of their lcm (normal strategy).
-    Tracked pairs keep the depth-first order (input pairs sorted by (i, j),
-    then each new element's pairs ahead of all pending ones), because
-    kernel_of_free_map returns a minimal, not reduced, basis that depends on
-    which elements this loop produces.
+    Pairs are taken by the order of their lcm (normal strategy).
     """
     if not G:
         return G
     one = G[0].ring.field.one
     rank1 = G[0].rank == 1
-    s = len(G)
     leads = []
     index = {}
     pairs = []
@@ -130,8 +125,7 @@ def _complete(G, order, exprs=None, done=0):
             if coprime or any(o != lam and exp_divides(o, lam) for o in cand):
                 continue
             mon = (c, lam)
-            key = order.key(mon) if exprs is None else (0 if m < s else -m)
-            heapq.heappush(pairs, (key, k, m, mon))
+            heapq.heappush(pairs, (order.key(mon), k, m, mon))
 
     for m, g in enumerate(G):
         leads.append(g.leading(order))
@@ -200,23 +194,9 @@ def _minimal_indices(lms, order):
     return picked
 
 
-def _monic(g, order):
-    """g scaled to leading coefficient one."""
-    return g.scale(g.ring.field.one / g.leading(order)[1])
-
-
-def _canonical(items, order, elem=lambda it: it):
-    """Sort items by (leading component, leading monomial key) of elem(item)."""
-
-    def key(it):
-        lm = elem(it).leading(order)[0]
-        return lm[0], order.key(lm)
-
-    return sorted(items, key=key)
-
-
 def _reduce(G, g_u, order):
-    """Reduced basis of G modulo g_u, in canonical order.
+    """Reduced basis of G modulo g_u, sorted by leading component, then
+    leading monomial.
 
     Keeps the elements with minimal leading monomials, divides each by g_u
     and the other kept ones, and makes it monic.
@@ -224,29 +204,19 @@ def _reduce(G, g_u, order):
     mini = [G[i] for i in _minimal_indices([g.leading(order)[0] for g in G], order)]
     out = []
     for i, g in enumerate(mini):
-        out.append(_monic(divide(g, list(g_u) + mini[:i] + mini[i + 1 :], order)[1], order))
-    return _canonical(out, order)
+        r = divide(g, list(g_u) + mini[:i] + mini[i + 1 :], order)[1]
+        out.append(r.scale(r.ring.field.one / r.leading(order)[1]))
+
+    def key(g):
+        lm = g.leading(order)[0]
+        return lm[0], order.key(lm)
+
+    return sorted(out, key=key)
 
 
 def reduce_groebner(G, order):
     """Reduced Groebner basis in canonical order from any Groebner basis."""
     return _reduce(G, [], order)
-
-
-def minimal_groebner(G, order):
-    """Minimal Groebner basis in canonical order: normalized, not tail-reduced."""
-    lms = [g.leading(order)[0] for g in G]
-    return _canonical([_monic(G[i], order) for i in _minimal_indices(lms, order)], order)
-
-
-def minimal_transform(G, exprs, order):
-    """Minimal Groebner basis keeping expressions over the original input in step."""
-    paired = []
-    for i in _minimal_indices([g.leading(order)[0] for g in G], order):
-        c = G[i].ring.field.one / G[i].leading(order)[1]
-        paired.append((G[i].scale(c), exprs[i].scale(c)))
-    paired = _canonical(paired, order, lambda ge: ge[0])
-    return [g for g, _ in paired], [e for _, e in paired]
 
 
 def express(f, G, order):

@@ -7,39 +7,33 @@ from .graded import (
     GradedMatrix, _add_row, _axpy, _box_ranks, _element_rows, _lead_counts, _reduce_at, _spans, deg_join, deg_leq,
     deg_meet, degrees_in_box, element_degree, graded_dimensions, is_homogeneous, monomialize,
 )
-from .orders import SchreyerOrder, default_order
+from .orders import ModuleOrder, SchreyerOrder, default_order
 
 
 def kernel_of_free_map(mat, order):
-    """Minimal Groebner basis of the kernel of the map given by a graded matrix."""
-    ring = mat.ring
-    cols = mat.cols
-    m = len(cols)
-    zero_exp = (0,) * ring.n
-    order = order.for_rank(mat.nrows)
-    G, exprs = groebner.buchberger_transform(cols, order)
-    if not G:
-        return [ModuleElement.monomial(ring, m, j, zero_exp) for j in range(m)]
-    G2, A = groebner.minimal_transform(G, exprs, order)
-    W, _ = groebner.schreyer_syzygies(G2, order)
-    out = []
-    for w in W:
-        v = ModuleElement.zero(ring, m)
-        for (k, e), c in w.terms:
-            v = v + A[k].mul_term(c, e)
-        if not v.is_zero:
-            out.append(v)
-    index = groebner._index([g.leading(order) for g in G2])
-    for j, col in enumerate(cols):
-        # zero remainder: G2 is a Groebner basis of the columns' span
-        quots, _ = groebner._divide(col, G2, order, index)
-        v = ModuleElement.monomial(ring, m, j, zero_exp)
-        for k in sorted(quots):
-            v = v - A[k].mul_poly(ModuleElement(ring, 1, quots[k]))
-        if not v.is_zero:
-            out.append(v)
+    """Reduced Groebner basis of the kernel of the map given by a graded matrix.
+
+    With r rows and m columns c_j, the graph module M in R^(r+m) is spanned
+    by the elements (c_j, e_j): column j plus a unit in component r + j. A
+    vector (v, w) lies in M exactly when v = D w, so M meets the last m
+    components in 0 + ker D. Its Groebner basis G is taken under POT with
+    the r row components above the m new ones (Greuel and Pfister, A
+    Singular Introduction to Commutative Algebra, ch. 2). An element whose
+    lead lies in a new component is then zero in every row, and the lead
+    of each element of 0 + ker D is divisible by the lead of an element of
+    G in the same component. So the elements of G with lead component at
+    least r, shifted down to R^m, are a Groebner basis of ker D in POT
+    desc. That order differs from order.for_rank(m) under TOP, "asc" or a
+    permutation, so they are completed again in it before reduction.
+    """
+    ring, r, m = mat.ring, mat.nrows, len(mat.cols)
+    one, zero_exp = ring.field.one, (0,) * ring.n
+    graph = [ModuleElement(ring, r + m, {**dict(c.terms), (r + j, zero_exp): one}) for j, c in enumerate(mat.cols)]
+    gorder = ModuleOrder(order.base, "pot", r + m, "desc")
+    ker = [ModuleElement(ring, m, {(comp - r, e): cf for (comp, e), cf in g.terms})
+           for g in groebner.buchberger(graph, gorder) if g.leading(gorder)[0][0] >= r]
     korder = order.for_rank(m)
-    return groebner.minimal_groebner(groebner.buchberger(out, korder), korder)
+    return groebner.reduce_groebner(groebner.buchberger(ker, korder), korder)
 
 
 class Resolution:

@@ -98,7 +98,7 @@ class TestMiddleHomology:
         assert fmts(kernel_of_free_map(d1, order)) == [
             "X1*e1-X1*e2+e5",
             "X2*e1-X2*e2+e4+e6",
-            "X2*e3-X1*e4",
+            "X2*e3-X2*e5+X1*e6",
             "X1*e4-X2*e5+X1*e6",
         ]
 

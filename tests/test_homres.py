@@ -159,7 +159,7 @@ class TestKernelOfFreeMap:
         assert fmts(ker) == [
             "X1*e1-X1*e2+e5",
             "X2*e1-X2*e2+e4+e6",
-            "X2*e3-X1*e4",
+            "X2*e3-X2*e5+X1*e6",
             "X1*e4-X2*e5+X1*e6",
         ]
 
@@ -176,6 +176,16 @@ class TestKernelOfFreeMap:
         for k in ker:
             assert d1.apply(k).is_zero
             assert element_degree(k, d1.col_shifts) is not None
+        # and it is the reduced Groebner basis in the order on R^m
+        korder = order.for_rank(len(d1.cols))
+        assert groebner.is_groebner(ker, korder)
+        leads = [k.leading(korder) for k in ker]
+        assert all(lc == d1.ring.field.one for _, lc in leads)
+        for i, k in enumerate(ker):
+            for (comp, exp), _ in k.terms:
+                assert not any(
+                    j != i and c == comp and all(a <= b for a, b in zip(e, exp)) for j, ((c, e), _) in enumerate(leads)
+                )
         lo, hi = (0, 0), (4, 4)
         want = [
             sum(deg_leq(s, a) for s in d1.col_shifts) - r
@@ -186,6 +196,17 @@ class TestKernelOfFreeMap:
     def test_kernel_graded_dimensions_middle_complex(self, ring2):
         d1, _, _, order = middle_complex(ring2)
         self._check_kernel_dimensions(d1, order)
+
+    def test_kernel_completed_again_in_its_order(self, ring2):
+        # the graph module's kernel block, (1/3*e1+X2*e3, -1/2*e2+X1*e3), is a
+        # Groebner basis in POT desc but not in TOP asc, where their S-pair
+        # adds the first element
+        mat = GradedMatrix.from_entries(
+            ring2, ((0, 1),), ((1, 2), (2, 1), (1, 1)), scalar_grid(ring2, [["-3*X1*X2", "2*X1^2", "X1"]])
+        )
+        order = parse_order("grevlex X2 X1 ; top asc", ring2, 1)
+        assert fmts(kernel_of_free_map(mat, order)) == ["X1*e1+3/2*X2*e2", "1/3*e1+X2*e3", "-1/2*e2+X1*e3"]
+        self._check_kernel_dimensions(mat, order)
 
     def test_kernel_graded_dimensions_random(self):
         hyp = pytest.importorskip("hypothesis")
@@ -206,7 +227,9 @@ class TestKernelOfFreeMap:
                 })
                 for c in cols
             ]
-            spec = draw(st.sampled_from(["grevlex X1 X2 ; pot desc", "lex X1 X2 ; top desc", "grevlex X2 X1 ; top asc"]))
+            spec = draw(st.sampled_from([
+                "grevlex X1 X2 ; pot desc", "grevlex X1 X2 ; pot asc", "lex X1 X2 ; top desc", "grevlex X2 X1 ; top asc",
+            ]))
             return GradedMatrix(ring, rows, cols, entries), parse_order(spec, ring, 1)
 
         @hyp.settings(max_examples=60, deadline=None)
