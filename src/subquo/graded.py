@@ -120,17 +120,10 @@ def _add_row(pivots, row):
     return False
 
 
-def _spans(rows, vec):
-    """Return True when the sparse vector vec lies in the span of the sparse
-    rows: it does exactly when _add_row finds that it does not raise their rank."""
-    pivots = {}
-    for r in rows:
-        _add_row(pivots, dict(r))
-    return not _add_row(pivots, dict(vec))
-
-
-def _box_ranks(rows, lo, hi):
-    """Rank of the rows of degree <= a, for each a in degrees_in_box(lo, hi).
+def _scalar_basis(rows, hi):
+    """Scalar Groebner basis of the rows in every degree <= hi, as (index,
+    vecs, degs) for _reduce_at, and the set raised of the positions of the
+    rows that raised the rank.
 
     rows are (degree, {index: value}) pairs: fine-homogeneous elements of a
     free module, whose components each hold one monomial per degree, so the
@@ -138,33 +131,46 @@ def _box_ranks(rows, lo, hi):
     scalar vectors. Order terms position over term, the lead of a vector
     being its smallest index. Rows and S-vectors are reduced by _reduce_at
     in order of total degree, and two basis elements of one lead give one
-    S-vector at the join of their degrees, formed only when that join is
-    <= hi. So every S-vector of degree <= a reduces to zero, and the basis
-    elements of degree <= a are a Groebner basis in degree a, for any a <=
-    hi: the rank at a is the number of distinct leads among them, which
-    _lead_counts counts.
+    S-vector at the join of their degrees when that join is <= hi and they
+    are not both unit vectors (whose S-vector is zero). So every S-vector of
+    degree <= a reduces to zero, and the basis elements of degree <= a are a
+    Groebner basis in degree a, for any a <= hi. At one degree b the
+    S-vectors come first, then the rows in their order: a row of degree b
+    meets a basis of the rows of degree < b and the earlier ones of degree
+    b, so it raises the rank exactly when it is not in their span. Ranks do
+    not depend on this order.
     """
-    heap = [(sum(d), d, k, dict(vec)) for k, (d, vec) in enumerate(rows) if deg_leq(d, hi)]
+    heap = [(sum(d), d, 1, k, dict(vec)) for k, (d, vec) in enumerate(rows) if deg_leq(d, hi)]
     heapq.heapify(heap)
-    count, index, vecs, degs = len(rows), {}, [], []
+    count, index, vecs, degs, raised = 0, {}, [], [], set()
     while heap:
-        _, lam, _, work = heapq.heappop(heap)
+        _, lam, row, k, work = heapq.heappop(heap)
         rem = _reduce_at(work, {}, lam, operator.neg, index, vecs, degs)
         if not rem:
             continue
+        if row:
+            raised.add(k)
         c = min(rem)
         lead = rem[c]
         vec = {k: v / lead for k, v in rem.items()}
         for i in index.get(c, ()):
             join = deg_join(lam, degs[i])
-            if deg_leq(join, hi):
+            if deg_leq(join, hi) and len(vec) + len(vecs[i]) > 2:
                 s = dict(vec)
                 _axpy(s, -vec[c], vecs[i])
-                heapq.heappush(heap, (sum(join), join, count, s))
+                heapq.heappush(heap, (sum(join), join, 0, count, s))
                 count += 1
         index.setdefault(c, []).append(len(vecs))
         vecs.append(vec)
         degs.append(lam)
+    return index, vecs, degs, raised
+
+
+def _box_ranks(rows, lo, hi):
+    """Rank of the rows of degree <= a, for each a in degrees_in_box(lo, hi):
+    the number of distinct leads among the elements of degree <= a of their
+    _scalar_basis, which _lead_counts counts."""
+    index, _, degs, _ = _scalar_basis(rows, hi)
     yield from _lead_counts(((degs[k], i) for i, ks in enumerate(index.values()) for k in ks), lo, hi)
 
 
@@ -301,7 +307,7 @@ class GradedMatrix:
 
     def _scalar_columns(self):
         """(column degree, {row: coefficient}) per column, the rows of
-        _box_ranks: a homogeneous column has one term per row it touches."""
+        _scalar_basis: a homogeneous column has one term per row it touches."""
         out = []
         for j, col in enumerate(self.cols):
             s = self.col_shifts[j]
@@ -345,7 +351,7 @@ class GradedMatrix:
 
 def _element_rows(gens, shifts):
     """(degree, {component: coefficient}) per nonzero element, the rows of
-    _box_ranks; each element must be homogeneous for the shifts."""
+    _scalar_basis; each element must be homogeneous for the shifts."""
     rows = []
     for w in gens:
         b = element_degree(w, shifts)

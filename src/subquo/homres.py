@@ -1,11 +1,14 @@
 """Homology presentations, free resolutions, pruning and diagram realizations."""
 
+import operator
+from functools import reduce
+
 from . import groebner, relative  # run on first use: verify, minimize and betti never call them
 from .elements import ModuleElement, exp_add, exp_sub
 from .errors import ContractViolation, InputError
 from .graded import (
-    GradedMatrix, _add_row, _axpy, _box_ranks, _element_rows, _lead_counts, _reduce_at, _spans, deg_join, deg_leq,
-    deg_meet, degrees_in_box, element_degree, graded_dimensions, is_homogeneous, monomialize,
+    GradedMatrix, _add_row, _axpy, _box_ranks, _element_rows, _lead_counts, _reduce_at, _scalar_basis, deg_join,
+    deg_leq, deg_meet, degrees_in_box, element_degree, graded_dimensions, is_homogeneous, monomialize,
 )
 from .orders import ModuleOrder, SchreyerOrder, default_order
 
@@ -149,7 +152,7 @@ def _level_syzygies(cols, degs, shifts, sord, ambient_shifts):
     """schreyer_syzygies(cols, sord, minimal=True), term for term, on the
     scalar vectors {c: coeff} of homogeneous columns of degrees degs over
     components of degrees shifts (a component of shift s holds only
-    x^(d - s) in degree d; see graded._box_ranks). Component c of flat lift
+    x^(d - s) in degree d; see graded._scalar_basis). Component c of flat lift
     (b, s_c, ties) (sord._flat) has degree ambient_shifts[b] + s_c, so in
     degree d its key is (base key of (b, d - ambient_shifts[b]), ties), the
     base part cached per (b, d). Pair (i, j) lives at lam = deg_join(d_i,
@@ -206,7 +209,7 @@ def prune_minimize(res):
     differential must be homogeneous, which is checked before any cancellation.
 
     A free component of shift s holds one monomial per fine degree (see
-    graded._box_ranks), so a homogeneous column is its scalar vector
+    graded._scalar_basis), so a homogeneous column is its scalar vector
     {row: coeff}, and entry (i, j) is constant exactly when row i and column
     j have the same shift. Cancellation works in place on these vectors,
     under their original indices, with one alive set per free module (F_0
@@ -221,18 +224,14 @@ def prune_minimize(res):
     column and refreshed only for the columns a cancellation touched; the
     pivot is the least (row, column) among them.
 
-    Column j of degree b of the last differential is dropped exactly when its
-    vector lies in the span of the columns of degree < b and the earlier ones
-    of degree b (if every column is zero, the first is kept). A homogeneous
-    element of degree b lies in the module of the columns exactly when its
-    vector lies in the span of those of degree <= b, so by induction on b the
-    kept columns generate that module minimally (graded Nakayama). The rule
-    equals one pass from the last column to the first that drops each column
-    lying in the module of the others left: drops keep the module, so the
-    columns of degree < b left span what all do, and by induction down the
-    pass the kept columns of degree b after j are independent modulo lower
-    degrees, so j lies in the span of them and the earlier ones exactly when
-    it lies in the span of the earlier ones. That pass leaves nothing to drop.
+    The last differential keeps the columns that raise the rank in
+    graded._scalar_basis of their vectors, in order (if every column is
+    zero, the first is kept): column j of degree b is dropped exactly when
+    its vector lies in the span of the columns of degree < b and the earlier
+    ones of degree b. A homogeneous element of degree b lies in the module
+    of the columns exactly when its vector lies in the span of those of
+    degree <= b, so by induction on b the kept columns generate that module
+    minimally (graded Nakayama): none lies in the module of the others.
     """
     ring = res.ring
     for j, g in enumerate(res.gens):
@@ -269,12 +268,9 @@ def prune_minimize(res):
         del keep[1:]
     if len(keep) > 1:  # the redundant-column pass on the last differential
         k, last = len(keep) - 2, keep[-1]
-        degs = res.diffs[k].col_shifts
-        vecs = {j: {i: v for i, v in sparse[k][j].items() if i in alive[k]} for j in last}
-        keep[-1] = [
-            j for j in last
-            if not _spans([vecs[l] for l in last if deg_leq(degs[l], degs[j]) and (degs[l] != degs[j] or l < j)], vecs[j])
-        ] or last[:1]
+        vecs = [(res.diffs[k].col_shifts[j], {i: v for i, v in sparse[k][j].items() if i in alive[k]}) for j in last]
+        raised = _scalar_basis(vecs, reduce(deg_join, (d for d, _ in vecs)))[3]
+        keep[-1] = [j for p, j in enumerate(last) if p in raised] or last[:1]
     one, leads, diffs = ring.field.one, None, []
     for d, cols, rows, live in zip(res.diffs, sparse, keep, keep[1:]):
         pos = {i: r for r, i in enumerate(rows)}
@@ -476,9 +472,9 @@ def verify_complex(res, box=None):
     the rows of each differential repeat the degrees of the level before, as
     parse_resolution_file checks. So with D0 the generators, D_i after a
     degree-b column {j: a_j} of D_{i+1} is the degree-b element whose scalar
-    vector is the sum of a_j times column j of D_i (see graded._box_ranks).
-    For i = 0 it must lie in the inner module U, that is, in the span of the
-    coordinates of U's generators of degree <= b; later composites vanish.
+    vector is the sum of a_j times column j of D_i (see graded._scalar_basis).
+    For i = 0 it must lie in U: reduce to zero at b by one scalar basis of
+    U's generators, up to the join of D1's degrees; later composites vanish.
     Then each degree of the box is checked by ranks.
     """
     report = []
@@ -503,10 +499,11 @@ def verify_complex(res, box=None):
             _axpy(out, a, targets[j])
         return out
 
-    if res.gens and cols:
+    if res.gens and cols and cols[0]:
         gens = [{i: c for (i, _), c in g.terms} for g in res.gens]
+        basis = _scalar_basis(u_rows, reduce(deg_join, (b for b, _ in cols[0])))[:3]
         for j, (b, vec) in enumerate(cols[0]):
-            if not _spans([w for a, w in u_rows if deg_leq(a, b)], composite(vec, gens)):
+            if _reduce_at(composite(vec, gens), {}, b, operator.neg, *basis):
                 report.append("composite of generators with differential 1 misses the inner module in column %d" % (j + 1))
     for i in range(len(cols) - 1):
         targets = [vec for _, vec in cols[i]]
@@ -517,10 +514,7 @@ def verify_complex(res, box=None):
     levels = [res.gen_degrees] + [d.col_shifts for d in res.diffs]
     if box is None:
         degs = [s for level in levels for s in level] + [b for b, _ in u_rows] + list(shifts)
-        lo = hi = degs[0]
-        for d in degs[1:]:
-            lo, hi = deg_meet(lo, d), deg_join(hi, d)
-        hi = exp_add(hi, (1,) * res.ring.n)
+        lo, hi = reduce(deg_meet, degs), exp_add(reduce(deg_join, degs), (1,) * res.ring.n)
     else:
         lo, hi = box
     # One rank stream per level (the identity of its free module), per

@@ -545,6 +545,40 @@ X
 """
 
 
+# The resolution of R^3/U with U = (X*e1+X*e2, Y*e1+Y*e3), whose U section
+# holds only those two generators, of incomparable degrees (1,0) and (0,1).
+# The generators after D1's third column give X*Y*e2-X*Y*e3 = Y*u1 - X*u2,
+# which lies in U only through the S-vector of u1 and u2 at (1,1).
+SVEC_RES = """\
+n: 2
+vars: X Y
+field: q
+order: grevlex X Y ; pot desc
+ambient: (0,0) (0,0) (0,0)
+minimized: false
+U:
+X*e1+X*e2
+Y*e1+Y*e3
+D0:
+rows: (0,0) (0,0) (0,0)
+cols: (0,0) (0,0) (0,0)
+1 0 0
+0 1 0
+0 0 1
+D1:
+rows: (0,0) (0,0) (0,0)
+cols: (1,0) (0,1) (1,1)
+X Y 0
+X 0 X*Y
+0 Y -X*Y
+D2:
+rows: (1,0) (0,1) (1,1)
+cols: (1,1)
+Y
+-X
+-1
+"""
+
 # D1 is not homogeneous: X+X^2 mixes degrees, and the constant 1 sits in a
 # column of degree (1), so cancelling on it would drop both generators.
 INHOMOGENEOUS_RES = """\
@@ -1003,6 +1037,19 @@ class TestVerify:
         bad = tmp_path / "bad.res"
         bad.write_text(emit_resolution_file(negate_entry(cube_resolution(QQ), level, 0, j)))
         assert run_cli(monkeypatch, capsys, "verify", str(bad))[:2] == (2, report)
+
+    def test_composite_in_u_through_an_s_vector(self, tmp_path, monkeypatch, capsys):
+        # U's basis must reach (1,1), the join of D1's degrees, to hold the
+        # S-vector; with -2*X*Y in D1's third column the composite leaves U
+        good, bad = tmp_path / "good.res", tmp_path / "bad.res"
+        good.write_text(SVEC_RES)
+        bad.write_text(SVEC_RES.replace("0 Y -X*Y\n", "0 Y -2*X*Y\n"))
+        assert run_cli(monkeypatch, capsys, "verify", str(good))[:2] == (0, "exact\n")
+        assert run_cli(monkeypatch, capsys, "verify", str(bad))[:2] == (
+            2,
+            "composite of generators with differential 1 misses the inner module in column 3\n"
+            "differentials 1 and 2 do not compose to zero\n",
+        )
 
     def test_bad_box_is_input_error(self, files, monkeypatch, capsys):
         code, out, err = run_cli(

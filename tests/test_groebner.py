@@ -690,20 +690,8 @@ def test_resolution_leading_work_is_pinned(monkeypatch):
     assert calls == {"leading": 813, "divide": 39, "axpy": 1481}
 
 
-def test_verify_arithmetic_is_pinned(monkeypatch):
-    """graded._axpy and graded._add_row calls while verify_complex checks the
-    m^2/m^5 frame of test_resolution_leading_work_is_pinned.
-
-    Each degree box is ranked from one scalar Groebner basis per map, and the
-    composites are formed on scalar columns. When every line of the box ran
-    its own elimination and the composites were ModuleElement products, the
-    same check made 43,326 _axpy and 37,733 _add_row calls. The _add_row
-    calls left are those of the test that the generators composed with D1
-    land in the inner module. The counts are deterministic.
-    """
-    ring = Ring(3, QQ, ("X", "Y", "Z"))
-    power = _power(ring)
-    res = free_resolution(power(2), power(5), parse_order("grevlex X Y Z ; pot desc", ring, 1))
+def _count_scalar_steps(monkeypatch):
+    """Count graded._axpy and graded._add_row calls in every module that binds them."""
     calls = {"axpy": 0, "add_row": 0}
     axpy, add_row = graded._axpy, graded._add_row
 
@@ -719,8 +707,48 @@ def test_verify_arithmetic_is_pinned(monkeypatch):
         monkeypatch.setattr(module, "_axpy", counted_axpy)
     for module in (graded, homres):  # every module that binds _add_row
         monkeypatch.setattr(module, "_add_row", counted_add_row)
+    return calls
+
+
+def test_verify_arithmetic_is_pinned(monkeypatch):
+    """graded._axpy and graded._add_row calls while verify_complex checks the
+    m^2/m^5 frame of test_resolution_leading_work_is_pinned.
+
+    Each degree box is ranked from one scalar Groebner basis per map, the
+    composites are formed on scalar columns, and each composite of the
+    generators with D1 is reduced once by one scalar Groebner basis of U,
+    truncated at the join of D1's degrees, so no echelon form is built.
+    When every line of the box ran its own elimination and the composites
+    were ModuleElement products, the same check made 43,326 _axpy and 37,733
+    _add_row calls; when each composite was tested against its own echelon
+    form of the U rows below it, 4,494 _axpy and 420 _add_row calls. The
+    counts are deterministic.
+    """
+    ring = Ring(3, QQ, ("X", "Y", "Z"))
+    power = _power(ring)
+    res = free_resolution(power(2), power(5), parse_order("grevlex X Y Z ; pot desc", ring, 1))
+    calls = _count_scalar_steps(monkeypatch)
     assert homres.verify_complex(res) == (True, [])
-    assert calls == {"axpy": 4494, "add_row": 420}
+    assert calls == {"axpy": 4112, "add_row": 0}
+
+
+def test_prune_arithmetic_is_pinned(monkeypatch):
+    """graded._axpy and graded._add_row calls while prune_minimize minimizes
+    the m^2/m^5 frame cut at two differentials.
+
+    The cancellations are _axpy steps, and the redundant-column pass on the
+    last differential reads which columns raise the rank of one scalar
+    Groebner basis of its columns. When the pass tested each column against
+    its own echelon form of the columns below it, the same call made 6,099
+    _axpy and 3,986 _add_row calls. The counts are deterministic.
+    """
+    ring = Ring(3, QQ, ("X", "Y", "Z"))
+    power = _power(ring)
+    res = free_resolution(power(2), power(5), parse_order("grevlex X Y Z ; pot desc", ring, 1), length=2)
+    calls = _count_scalar_steps(monkeypatch)
+    pruned = homres.prune_minimize(res)
+    assert [len(pruned.gens)] + [d.ncols for d in pruned.diffs] == [6, 29, 38]
+    assert calls == {"axpy": 815, "add_row": 0}
 
 
 def test_monomial_pairs_form_no_products(monkeypatch):
