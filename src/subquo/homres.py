@@ -10,7 +10,7 @@ from .graded import (
     GradedMatrix, _add_row, _axpy, _box_ranks, _element_rows, _lead_counts, _reduce_at, _scalar_basis, deg_join,
     deg_leq, deg_meet, degrees_in_box, element_degree, graded_dimensions, is_homogeneous, monomialize,
 )
-from .orders import ModuleOrder, SchreyerOrder, default_order
+from .orders import ModuleOrder, default_order
 
 
 def kernel_of_free_map(mat, order):
@@ -116,12 +116,16 @@ def free_resolution(v_gens, u_gens, order, shifts=None, length=None):
     """Resolution of the subquotient spanned by v_gens over the inner submodule."""
     if length is not None and length < 0:
         raise InputError("length must be >= 0, got %d" % length)
-    pool = [g for g in list(v_gens) + list(u_gens) if not g.is_zero]
+    gens = list(v_gens) + list(u_gens)
+    pool = [g for g in gens if not g.is_zero]
     if not pool:
         raise InputError("no nonzero generators given")
     ring, rank = pool[0].ring, pool[0].rank
-    if shifts is None:
-        shifts = ((0,) * ring.n,) * rank
+    if any(g.rank != rank for g in gens):
+        raise InputError("generators must all have rank %d, the rank of the first nonzero one" % rank)
+    shifts = ((0,) * ring.n,) * rank if shifts is None else shifts
+    if len(shifts) != rank or any(len(s) != ring.n for s in shifts):
+        raise InputError("need %d ambient shifts of %d entries, one per component" % (rank, ring.n))
     aorder = order.for_rank(rank)
     g_u = _graded_inner_basis(u_gens, aorder, shifts)
     return _resolve(ring, v_gens, g_u, order, aorder, shifts, length)
@@ -129,65 +133,69 @@ def free_resolution(v_gens, u_gens, order, shifts=None, length=None):
 
 def _resolve(ring, v_gens, g_u, order, aorder, shifts, length):
     """free_resolution over the graded inner basis g_u, with aorder the
-    order at the rank of the ambient free module. Once h is checked to be
-    homogeneous, every column is so by construction, so each level past the
-    first comes from _level_syzygies."""
+    order at the rank of the ambient module. _element_rows checks h to be
+    homogeneous, and each level is one _level_syzygies pass on scalar rows.
+    Level 0 is the relative pass: g_u's rows are trailing divisors, each
+    syzygy is projected onto h, and every pair is kept, as D1's full frame."""
     h = relative.reduce_relative(relative.relative_buchberger(v_gens, g_u, aorder), g_u, aorder)
     res = Resolution(ring, order, shifts, g_u, h, [])
-    if not h:
-        return res
-    cur_shifts = [element_degree(x, shifts) for x in h]
-    cols, sord = relative.relative_schreyer(h, g_u, aorder)
-    degs = [element_degree(c, cur_shifts) for c in cols]
+    rows, inner, comps = _element_rows(h, shifts), _element_rows(g_u, shifts), [(c, ()) for c in range(len(shifts))]
     limit = ring.n + 1 if length is None else length
-    while cols and len(res.diffs) < limit:
-        res.diffs.append(GradedMatrix(ring, cur_shifts, degs, cols))
-        if len(res.diffs) == limit:
-            break
-        cur_shifts, (cols, degs, sord) = degs, _level_syzygies(cols, degs, cur_shifts, sord, shifts)
+    while rows and len(res.diffs) < limit:
+        first, degs = not res.diffs, [d for d, _ in rows]
+        rows, comps = _level_syzygies(rows, comps, aorder, shifts, ring.field.one, inner if first else [], first)
+        if rows:
+            cols = [ModuleElement(ring, len(degs), {(k, exp_sub(lam, degs[k])): a for k, a in v.items()}) for lam, v in rows]
+            res.diffs.append(GradedMatrix(ring, degs, [lam for lam, _ in rows], cols))
     return res
 
 
-def _level_syzygies(cols, degs, shifts, sord, ambient_shifts):
-    """schreyer_syzygies(cols, sord, minimal=True), term for term, on the
-    scalar vectors {c: coeff} of homogeneous columns of degrees degs over
-    components of degrees shifts (a component of shift s holds only
-    x^(d - s) in degree d; see graded._scalar_basis). Component c of flat lift
-    (b, s_c, ties) (sord._flat) has degree ambient_shifts[b] + s_c, so in
-    degree d its key is (base key of (b, d - ambient_shifts[b]), ties), the
-    base part cached per (b, d). Pair (i, j) lives at lam = deg_join(d_i,
-    d_j); its syzygy's lead x^(lam - d_i) e_i has the base key of the pair's
-    lead component at lam, and divides another lead of i when its lam is <=
-    the other's, so _schreyer's sort and pick take one key per pair. A picked
-    pair v_i/lc_i - v_j/lc_j is reduced by graded._reduce_at under that key
-    at lam, over the columns in basis order, so each divisor is _divide's.
-    Returns the next level's (columns, degrees, Schreyer order).
+def _level_syzygies(rows, comps, order, shifts, one, inner, every):
+    """Schreyer syzygies of one level's homogeneous columns, given as scalar
+    rows (degree, {component: coeff}) (a component of shift s holds only
+    x^(d - s) in degree d; see graded._scalar_basis): term for term those of
+    relative_schreyer(cols, g_u, order) with inner the rows of g_u and
+    every set, and of schreyer_syzygies(cols, sord, minimal=True) with no
+    inner rows and every unset. comps[c] = (b, ties) is component c's flat
+    Schreyer lift (see orders.SchreyerOrder; the ambient module's are (c,
+    ())), so its key in degree d is (order.key((b, d - shifts[b])), ties),
+    the first part cached per (b, d). The inner rows are trailing divisors:
+    a pair (i, j), i < j, of one lead component is formed only for a column
+    i, as g_u is a Groebner basis. It lives at lam = deg_join(d_i, d_j);
+    its syzygy's lead x^(lam - d_i) e_i has the key of the pair's lead
+    component at lam, and divides another lead of i when its lam is <= the
+    other's, so _schreyer's sort and pick take one key per pair. With
+    every, all pairs are kept, else the minimal ones. A kept pair,
+    v_i/lc_i minus v_j/lc_j, is reduced by graded._reduce_at under that key
+    at lam, over the columns, then the inner rows, so each divisor is
+    _divide's, and its syzygy is projected onto the columns. Returns the
+    next level's rows and comps: column i lifts to (b of its lead, ties +
+    (-i,)).
     """
-    ring, base, flat = cols[0].ring, sord._base, sord._flat
-    one = ring.field.one
-    vecs = [{c: a for (c, _), a in col.terms} for col in cols]
-    base_keys = {}
+    t = len(rows)
+    degs, vecs = zip(*(rows + inner))
+    keys = {}
 
     def rank(c, lam):  # the flat Schreyer key of component c in degree lam
-        b, _, ties = flat[c]
-        k = base_keys.get((b, lam))
+        b, ties = comps[c]
+        k = keys.get((b, lam))
         if k is None:
-            k = base_keys[b, lam] = base.key((b, exp_sub(lam, ambient_shifts[b])))
+            k = keys[b, lam] = order.key((b, exp_sub(lam, shifts[b])))
         return k, ties
 
     leads = [max(v, key=lambda c: rank(c, d)) for v, d in zip(vecs, degs)]
     index, pairs = {}, []
     for j, c in enumerate(leads):
         for i in index.get(c, ()):
-            lam = deg_join(degs[i], degs[j])
-            pairs.append((i, rank(c, lam)[0], j, lam))
+            if i < t:
+                lam = deg_join(degs[i], degs[j])
+                pairs.append((i, rank(c, lam)[0], j, lam))
         index.setdefault(c, []).append(j)
     pairs.sort()
-    kept = {}  # i -> the lams of its picked pairs
-    out_cols, out_degs = [], []
+    kept, out = {}, []  # kept: i -> the lams of its kept pairs
     for i, _, j, lam in pairs:
         lams = kept.setdefault(i, [])
-        if any(deg_leq(m, lam) for m in lams):
+        if not every and any(deg_leq(m, lam) for m in lams):
             continue
         lams.append(lam)
         sig = {i: one / vecs[i][leads[i]], j: -one / vecs[j][leads[j]]}
@@ -196,10 +204,8 @@ def _level_syzygies(cols, degs, shifts, sord, ambient_shifts):
         if _reduce_at(work, sig, lam, lambda c: rank(c, lam), index, vecs, degs):
             msg = "input is not a Groebner basis: S-polynomial of elements %d and %d does not reduce to zero"
             raise ContractViolation(msg % (i + 1, j + 1))
-        out_cols.append(ModuleElement(ring, len(cols), {(k, exp_sub(lam, degs[k])): a for k, a in sig.items()}))
-        out_degs.append(lam)
-    lts = tuple((c, exp_sub(d, shifts[c])) for c, d in zip(leads, degs))
-    return out_cols, out_degs, SchreyerOrder(lts, sord)
+        out.append((lam, {k: a for k, a in sig.items() if k < t and a}))
+    return out, [(comps[c][0], comps[c][1] + (-i,)) for i, c in enumerate(leads[:t])]
 
 
 def prune_minimize(res):
@@ -340,13 +346,7 @@ class VectorDiagram:
         return [[zero] * da for _ in range(dt)]
 
     def support_join(self):
-        degs = list(self.dims)
-        if not degs:
-            return None
-        hi = degs[0]
-        for a in degs[1:]:
-            hi = deg_join(hi, a)
-        return hi
+        return reduce(deg_join, self.dims) if self.dims else None
 
     def _act(self, k, a, vec):
         """Action of variable k on a sparse {coordinate: value} vector of the

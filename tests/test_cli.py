@@ -885,6 +885,22 @@ class TestResolutions:
         )
         assert (code, out) == (0, RES2_OUT)
 
+    # over a U file holding only 0, level 0 is still the relative pass: all
+    # three pairs of X^2, X*Y, Y^2 give D1, whose one relation D2 lifts
+    ZERO_U_RES = (
+        "n: 2\nvars: X Y\nfield: q\norder: grevlex X Y ; pot desc\nambient: (0,0)\nminimized: false\nU:\n"
+        "D0:\nrows: (0,0)\ncols: (2,0) (1,1) (0,2)\nX^2 X*Y Y^2\n"
+        "D1:\nrows: (2,0) (1,1) (0,2)\ncols: (2,1) (2,2) (1,2)\nY Y^2 0\n-X 0 Y\n0 -X^2 -X\n"
+        "D2:\nrows: (2,1) (2,2) (1,2)\ncols: (2,2)\nY\n-1\nX\n"
+    )
+
+    def test_resolution_over_zero_inner_module(self, tmp_path, monkeypatch, capsys):
+        head = "n: 2\nvars: X Y\nfield: q\nrank: 1\norder: grevlex X Y ; pot desc\nelements:\n"
+        u, v = tmp_path / "u.mod", tmp_path / "v.mod"
+        u.write_text(head + "0\n")
+        v.write_text(head + "X^2*e1\nX*Y*e1\nY^2*e1\n")
+        assert run_cli(monkeypatch, capsys, "resolution", str(u), str(v)) == (0, self.ZERO_U_RES, "")
+
     def test_minimize(self, files, monkeypatch, capsys):
         code, out, err = run_cli(monkeypatch, capsys, "minimize", files["res2.res"])
         assert (code, out) == (0, MIN2_OUT)

@@ -654,13 +654,14 @@ def test_resolution_leading_work_is_pinned(monkeypatch):
     Division reads divisor leads from one index per basis (175,890 leading
     calls without it), the minimal Schreyer pass reads each syzygy's lead off
     its pair's cofactors (7,182 calls when every pair was lifted), and every
-    level past the first is lifted on scalar columns, with no ModuleElement
-    lead or division at all (2,357 leading and 439 _divide calls while those
-    levels ran the general Schreyer pass). Only the relative basis and its
-    first syzygies divide. The levels past the first reduce their pairs with
-    graded._axpy steps, counted in every module that binds it. A change here
-    means some leading-term or division work came back or went away. The
-    counts are deterministic.
+    level, the first syzygies of the relative basis included, is lifted on
+    scalar rows, with no ModuleElement lead or division at all (2,357
+    leading and 439 _divide calls while the levels past the first ran the
+    general Schreyer pass; 813 and 39 while the first ran relative_schreyer).
+    Only the completions and reductions of the inner and relative bases
+    divide. Every level reduces its pairs with graded._axpy steps, counted
+    in every module that binds it. A change here means some leading-term or
+    division work came back or went away. The counts are deterministic.
     """
     ring = Ring(3, QQ, ("X", "Y", "Z"))
     order = parse_order("grevlex X Y Z ; pot desc", ring, 1)
@@ -687,7 +688,7 @@ def test_resolution_leading_work_is_pinned(monkeypatch):
         monkeypatch.setattr(module, "_axpy", counted_axpy)
     res = free_resolution(power(2), power(5), order)
     assert [len(res.gens)] + [d.ncols for d in res.diffs] == [6, 141, 327, 270, 78]
-    assert calls == {"leading": 813, "divide": 39, "axpy": 1481}
+    assert calls == {"leading": 759, "divide": 33, "axpy": 1622}
 
 
 def _count_scalar_steps(monkeypatch):

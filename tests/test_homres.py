@@ -103,11 +103,12 @@ def monomial_subquotients(st):
 
 
 def graded_subquotients(st):
-    """Strategy of finite-length subquotients (v, u, order, shifts) for the
-    fine grading of nonzero ambient shifts, over q, fp:32003 and fp:5, with
-    ranks 1-3 and every base order, extension and component direction. With
-    deep, V holds all of m^a in some components, so most resolutions reach
-    three or more differentials."""
+    """Strategy of subquotients (v, u, order, shifts), of finite length
+    unless U is 0, which it sometimes is, for the fine grading of nonzero
+    ambient shifts, over q, fp:32003 and fp:5, with ranks 1-3 and every base
+    order, extension and component direction. With deep, V holds all of m^a
+    in some components, so most resolutions of finite length reach three or
+    more differentials."""
 
     @st.composite
     def draw_case(draw, deep):
@@ -131,9 +132,12 @@ def graded_subquotients(st):
             comps = [c0] + [c for c in range(rank) if c != c0 and deg_leq(shifts[c], deg) and draw(st.booleans())]
             return ModuleElement(ring, rank, {(c, tuple(x - y for x, y in zip(deg, shifts[c]))): draw(coeff) for c in comps})
 
-        # U holds m^b in every component, so V/U has finite length
+        # U holds m^b in every component, so V/U has finite length; or U is
+        # 0, over which level 0 still keeps every pair
         u = [ModuleElement(ring, rank, {(c, e): field.one}) for e in exps(b) for c in range(rank)]
         u += [element(b - 1) for _ in range(draw(st.integers(0, 2)))]
+        if not draw(st.integers(0, 4)):
+            u = []
         if deep:
             comps = draw(st.sets(st.integers(0, rank - 1), min_size=1))
             v = [ModuleElement(ring, rank, {(c, e): field.one}) for e in exps(a) for c in sorted(comps)]
@@ -151,7 +155,7 @@ def general_schreyer_resolution(v, u, order, shifts):
     """free_resolution with every level past the first lifted by the general
     schreyer_syzygies(cols, sord, minimal=True) pass, the reference for the
     scalar levels of homres._level_syzygies."""
-    ring, rank = u[0].ring, u[0].rank
+    ring, rank = v[0].ring, v[0].rank
     aorder = order.for_rank(rank)
     g_u = homres._graded_inner_basis(u, aorder, shifts)
     h = reduce_relative(relative_buchberger(v, g_u, aorder), g_u, aorder)
@@ -439,6 +443,42 @@ class TestFreeResolution:
         with pytest.raises(InputError):
             free_resolution([], [], order2)
 
+    @pytest.mark.parametrize("u", [[], ["0"]], ids=["empty", "zero"])
+    def test_zero_inner_module_keeps_every_first_pair(self, ring_xy, u):
+        # level 0 is the relative pass over U = 0 too: all three pairs of
+        # X^2, X*Y, Y^2 give D1, whose one relation D2 lifts (not the
+        # minimal frame 3 2)
+        order = parse_order("grevlex X Y ; pot desc", ring_xy, 1)
+        res = free_resolution(els(ring_xy, 1, ["X^2*e1", "X*Y*e1", "Y^2*e1"]), els(ring_xy, 1, u), order)
+        assert [len(res.gens)] + [d.ncols for d in res.diffs] == [3, 3, 1]
+        d1, d2 = res.diffs
+        assert d1.col_shifts == ((2, 1), (2, 2), (1, 2))
+        assert [fmts([d.entry(i, j) for j in range(d.ncols)]) for d in res.diffs for i in range(d.nrows)] == [
+            ["Y", "Y^2", "0"], ["-X", "0", "Y"], ["0", "-X^2", "-X"], ["Y"], ["-1"], ["X"],
+        ]
+        assert verify_complex(res)[0]
+
+    @pytest.mark.parametrize(
+        "v_rank, u_rank, shifts, match",
+        [
+            (2, 2, [(0, 0)], "need 2 ambient shifts of 2 entries"),
+            (1, 1, [(0,)], "need 1 ambient shifts of 2 entries"),
+            (2, 1, None, "must all have rank 2"),
+            (2, 2, [(0, 0)] * 3, "need 2 ambient shifts of 2 entries"),
+        ],
+        ids=["too-few-shifts", "short-shift", "mixed-ranks", "too-many-shifts"],
+    )
+    def test_bad_shapes_rejected_before_groebner_work(self, ring_xy, monkeypatch, v_rank, u_rank, shifts, match):
+        def never(*args):
+            raise AssertionError("Groebner work started")
+
+        monkeypatch.setattr(groebner, "buchberger", never)
+        monkeypatch.setattr(relative, "relative_buchberger", never)
+        order = parse_order("grevlex X Y ; pot desc", ring_xy, 1)
+        v, u = els(ring_xy, v_rank, ["X*e1"]), els(ring_xy, u_rank, ["X^2*e1"])
+        with pytest.raises(InputError, match=match):
+            free_resolution(v, u, order, shifts)
+
     def test_inhomogeneous_inner_module_rejected_first(self, ring_xy, monkeypatch):
         def never(*args):
             raise AssertionError("relative completion started")
@@ -472,7 +512,8 @@ class TestScalarLevels:
             v, u, order, shifts = case
             res = free_resolution(v, u, order, shifts)
             assert emit_resolution_file(res) == emit_resolution_file(general_schreyer_resolution(v, u, order, shifts))
-            depths.append(len(res.diffs))
+            if u:  # a finite-length case, which the deep strategy resolves deeply
+                depths.append(len(res.diffs))
 
         check()
         if deep:
@@ -482,7 +523,7 @@ class TestScalarLevels:
         def never(*args):
             raise AssertionError("syzygy work started")
 
-        monkeypatch.setattr(relative, "relative_schreyer", never)
+        monkeypatch.setattr(homres, "_level_syzygies", never)
         order = parse_order("grevlex X Y ; pot desc", ring_xy, 1)
         u = els(ring_xy, 1, ["X^3*e1", "Y^3*e1"])
         with pytest.raises(InputError, match=r"element <Y\^2\+X> is not homogeneous"):
