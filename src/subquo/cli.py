@@ -15,15 +15,17 @@ from . import __version__, elements, files, flange, graded, groebner, homres, re
 from .errors import ContractViolation, InputError
 
 
-def _emit(text, output):
+def _emit(lines, output):
+    """Write lines as they come to sys.stdout, looked up now so redirections
+    hold, or to output through a temporary file renamed over it at the end."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         target = os.path.abspath(output)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".subquo-")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(lines)
             os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
@@ -73,7 +75,7 @@ def gb(module_file, order_text, field_text, output):
     """Reduced Groebner basis of the module generated by the input elements."""
     ring, rank, order, gens, shifts = _load_module(module_file, order_text, field_text)
     basis = groebner.reduce_groebner(groebner.buchberger(gens, order), order)
-    _emit(files.emit_module_file(ring, rank, basis, order, shifts=shifts), output)
+    _emit((files.emit_module_file(ring, rank, basis, order, shifts=shifts),), output)
 
 
 def relgb(u_file, v_file, order_text, field_text, output):
@@ -81,7 +83,7 @@ def relgb(u_file, v_file, order_text, field_text, output):
     ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
     g_u = groebner.reduce_groebner(groebner.buchberger(u_gens, order), order)
     h = relative.reduce_relative(relative.relative_buchberger(v_gens, g_u, order), g_u, order)
-    _emit(files.emit_module_file(ring, rank, h, order, shifts=shifts), output)
+    _emit((files.emit_module_file(ring, rank, h, order, shifts=shifts),), output)
 
 
 def syz(module_file, order_text, field_text, output):
@@ -89,7 +91,7 @@ def syz(module_file, order_text, field_text, output):
     ring, rank, order, gens, _ = _load_module(module_file, order_text, field_text)
     gens = [g for g in gens if not g.is_zero]
     cols, sord = groebner.schreyer_syzygies(gens, order)
-    _emit(files.emit_module_file(ring, len(gens), cols, None, sord), output)
+    _emit((files.emit_module_file(ring, len(gens), cols, None, sord),), output)
 
 
 def relsyz(u_file, h_file, order_text, field_text, output):
@@ -98,27 +100,27 @@ def relsyz(u_file, h_file, order_text, field_text, output):
     g_u = groebner.reduce_groebner(groebner.buchberger(u_gens, order), order)
     h = [e for e in h if not e.is_zero]
     cols, sord = relative.relative_schreyer(h, g_u, order)
-    _emit(files.emit_module_file(ring, len(h), cols, None, sord), output)
+    _emit((files.emit_module_file(ring, len(h), cols, None, sord),), output)
 
 
 def respres(u_file, v_file, order_text, field_text, output):
     """Free presentation of V/U: relative basis generators and one syzygy matrix."""
     ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
     res = homres.free_resolution(v_gens, u_gens, order, shifts, length=1)
-    _emit(files.emit_resolution_file(res), output)
+    _emit(files._resolution_lines(res), output)
 
 
 def resolution(u_file, v_file, length, order_text, field_text, output):
     """Free resolution of V/U by iterated syzygy computation."""
     ring, rank, order, u_gens, v_gens, shifts = _load_pair(u_file, v_file, order_text, field_text)
     res = homres.free_resolution(v_gens, u_gens, order, shifts, length=length)
-    _emit(files.emit_resolution_file(res), output)
+    _emit(files._resolution_lines(res), output)
 
 
 def minimize(res_file, field_text, output):
     """Prune constant entries from a resolution until it is minimal."""
     res = files.parse_resolution_file(_read(res_file), field_text)
-    _emit(files.emit_resolution_file(homres.prune_minimize(res)), output)
+    _emit(files._resolution_lines(homres.prune_minimize(res)), output)
 
 
 def betti(res_file, field_text):
@@ -147,14 +149,14 @@ def flange_gb(fim_file, order_text, field_text, output):
     """Complete a free-injective matrix to Groebner form."""
     mat, order = files.parse_fim_file(_read(fim_file), order_text, field_text)
     done = flange.buchberger_flange(mat, order)
-    _emit(files.emit_fim_file(done, order), output)
+    _emit((files.emit_fim_file(done, order),), output)
 
 
 def flange_pres(fim_file, order_text, field_text, output):
     """Presentation of the homomorphisms into a free-injective matrix's cokernel."""
     mat, order = files.parse_fim_file(_read(fim_file), order_text, field_text)
     pres = flange.free_presentation(mat, order)
-    _emit(files.emit_matrix_file(mat.ring, pres, order), output)
+    _emit(files._matrix_lines(mat.ring, pres, order), output)
 
 
 def homology(complex_file, do_min, order_text, field_text, output):
@@ -163,7 +165,7 @@ def homology(complex_file, do_min, order_text, field_text, output):
     res = homres.homology_presentation(d1, p, d2, order)
     if do_min:
         res = homres.prune_minimize(res)
-    _emit(files.emit_resolution_file(res), output)
+    _emit(files._resolution_lines(res), output)
 
 
 def from_diagram(diagram_file, field_text, output):
@@ -171,7 +173,7 @@ def from_diagram(diagram_file, field_text, output):
     diag = files.parse_diagram_file(_read(diagram_file), field_text)
     v_gens, u_gens = homres.module_from_diagram(diag)
     rank = v_gens[0].rank
-    _emit(files.emit_module_pair_file(diag.ring, rank, v_gens, u_gens), output)
+    _emit((files.emit_module_pair_file(diag.ring, rank, v_gens, u_gens),), output)
 
 
 def verify(res_file, box_text, field_text):
@@ -209,11 +211,13 @@ def _length(text):
 
 
 def _file_path(path):
-    """Argument type of an output file: it must not be a directory."""
+    """Argument type of an output file: not a directory, and in one that exists."""
     import argparse
 
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError("%r is a directory" % path)
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise argparse.ArgumentTypeError("directory of %r does not exist" % path)
     return path
 
 
@@ -343,9 +347,15 @@ def main():
 def run():
     """The process entry point: main(), then gc.freeze() however it exits,
     so the interpreter's full collections at exit skip the finished run's
-    heap. Tests and in-process callers call main(), which freezes nothing."""
+    heap. Tests and in-process callers call main(), which freezes nothing.
+    A closed stdout pipe exits 1 silently: stdout is pointed at os.devnull,
+    so the flush at exit cannot fail again."""
     try:
         main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     finally:
         gc.freeze()
 

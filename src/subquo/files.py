@@ -122,13 +122,20 @@ def _read_matrix_block(cur, ring, name):
     return graded.GradedMatrix(ring, row_shifts, col_shifts, [ModuleElement(ring, len(row_shifts), col) for col in cols])
 
 
-def _emit_matrix_block(out, mat, name):
-    """Write a matrix block as _read_matrix_block reads it; each distinct
-    nonzero cell, keyed by its sorted terms, is formatted once."""
-    out.append(name + ":")
-    out.append("rows: " + " ".join(format_degree(s) for s in mat.row_shifts))
-    out.append("cols: " + " ".join(format_degree(s) for s in mat.col_shifts))
-    grid = [["0"] * mat.ncols for _ in range(mat.nrows)] if mat.ncols else []
+def _header_lines(ring, order):
+    """The n/vars/field header lines of a ring, and an order line unless order is None."""
+    yield "n: %d\n" % ring.n
+    yield "vars: " + " ".join(ring.names) + "\n"
+    yield "field: " + ring.field.name + "\n"
+    if order is not None:
+        yield "order: " + format_order(order, ring) + "\n"
+
+
+def _emit_matrix_block(mat, name):
+    """Lines of a matrix block as _read_matrix_block reads it, each grid row
+    built from a per-row index of formatted cells, never the whole grid; each
+    distinct nonzero cell, keyed by its sorted terms, is formatted once."""
+    rows = [[] for _ in range(mat.nrows)] if mat.ncols else []  # no entry rows without columns
     texts = {}
     for j, col in enumerate(mat.cols):
         cells = {}
@@ -138,8 +145,15 @@ def _emit_matrix_block(out, mat, name):
             cell = tuple(cell)
             if cell not in texts:
                 texts[cell] = format_element(ModuleElement(mat.ring, 1, dict(cell)))
-            grid[i][j] = texts[cell]
-    out.extend(" ".join(row) for row in grid)
+            rows[i].append((j, texts[cell]))
+    yield name + ":\n"
+    yield "rows: " + " ".join(format_degree(s) for s in mat.row_shifts) + "\n"
+    yield "cols: " + " ".join(format_degree(s) for s in mat.col_shifts) + "\n"
+    for row in rows:
+        line = ["0"] * mat.ncols
+        for j, text in row:
+            line[j] = text
+        yield " ".join(line) + "\n"
 
 
 def _order_for(headers, ring, rank, override=None):
@@ -248,21 +262,24 @@ def parse_resolution_file(text, field_text=None):
     return homres.Resolution(ring, order, ambient, u_gens, d0.cols, diffs, minimized)
 
 
-def emit_resolution_file(res):
-    """Render a resolution file."""
-    ring = res.ring
-    out = ["n: %d" % ring.n, "vars: " + " ".join(ring.names), "field: " + ring.field.name]
-    out.append("order: " + format_order(res.order, ring))
-    out.append("ambient: " + " ".join(format_degree(s) for s in res.ambient_shifts))
-    out.append("minimized: " + ("true" if res.minimized else "false"))
-    out.append("U:")
+def _resolution_lines(res):
+    """Lines of a resolution file; D0's generators are checked before the first."""
+    d0 = res.gens_matrix()
+    yield from _header_lines(res.ring, res.order)
+    yield "ambient: " + " ".join(format_degree(s) for s in res.ambient_shifts) + "\n"
+    yield "minimized: " + ("true" if res.minimized else "false") + "\n"
+    yield "U:\n"
     aorder = res.order.for_rank(len(res.ambient_shifts))
     for g in res.u_gens:
-        out.append(format_element(g, aorder))
-    _emit_matrix_block(out, res.gens_matrix(), "D0")
+        yield format_element(g, aorder) + "\n"
+    yield from _emit_matrix_block(d0, "D0")
     for i, d in enumerate(res.diffs):
-        _emit_matrix_block(out, d, "D%d" % (i + 1))
-    return "\n".join(out) + "\n"
+        yield from _emit_matrix_block(d, "D%d" % (i + 1))
+
+
+def emit_resolution_file(res):
+    """Render a resolution file."""
+    return "".join(_resolution_lines(res))
 
 
 def parse_fim_file(text, order_text=None, field_text=None):
@@ -299,13 +316,15 @@ def emit_fim_file(mat, order=None):
     return "\n".join(out) + "\n"
 
 
+def _matrix_lines(ring, mat, order=None):
+    """Lines of a standalone graded matrix: a D1 block with ring headers."""
+    yield from _header_lines(ring, order)
+    yield from _emit_matrix_block(mat, "D1")
+
+
 def emit_matrix_file(ring, mat, order=None):
     """Render a standalone graded matrix as a D1 block with ring headers."""
-    out = ["n: %d" % ring.n, "vars: " + " ".join(ring.names), "field: " + ring.field.name]
-    if order is not None:
-        out.append("order: " + format_order(order, ring))
-    _emit_matrix_block(out, mat, "D1")
-    return "\n".join(out) + "\n"
+    return "".join(_matrix_lines(ring, mat, order))
 
 
 def parse_diagram_file(text, field_text=None):

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import io
+import itertools
 import os
 import re
 import subprocess
@@ -1368,6 +1370,65 @@ class TestPlumbing:
         assert "order: lex Y X ; pot desc" in out
 
 
+class TestStreamedOutput:
+    """Resolution and matrix files are written a line at a time; -o stays atomic."""
+
+    def test_resolution_writes_one_line_at_a_time(self, files, monkeypatch):
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        writes = []
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        monkeypatch.setattr(sys, "argv", ["subquo", "resolution", files["u2.mod"], files["v2.mod"]])
+        main()
+        assert writes == RES2_OUT.splitlines(keepends=True)
+
+    def test_closed_pipe_exits_1_with_empty_stderr(self, tmp_path):
+        # m^2 over m^5 in k[X, Y, Z]: about 330 kB of output, far more than a pipe holds
+        for name, d in (("u.mod", 5), ("v.mod", 2)):
+            mons = ("*".join(c) for c in itertools.combinations_with_replacement("XYZ", d))
+            (tmp_path / name).write_text("n: 3\nvars: X Y Z\nrank: 1\nelements:\n" + "\n".join(mons) + "\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        argv = [sys.executable, "-m", "subquo.cli", "resolution", str(tmp_path / "u.mod"), str(tmp_path / "v.mod")]
+        proc = subprocess.Popen(
+            argv, env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert proc.stdout.readline() == b"n: 3\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+
+    def test_minimize_in_place(self, tmp_path, monkeypatch, capsys):
+        res = tmp_path / "r.res"
+        res.write_text(RES2_OUT)
+        code, want, _ = run_cli(monkeypatch, capsys, "minimize", str(res))
+        assert code == 0
+        assert run_cli(monkeypatch, capsys, "minimize", str(res), "-o", str(res)) == (0, "", "")
+        assert res.read_text() == want
+        assert [p.name for p in tmp_path.iterdir()] == ["r.res"]
+
+    def test_failure_mid_stream_leaves_target(self, files, tmp_path, monkeypatch, capsys):
+        import subquo.files
+
+        block = subquo.files._emit_matrix_block
+
+        def failing(mat, name):
+            if name == "D2":  # after the headers, D0 and D1 went to the temporary file
+                raise RuntimeError("formatting failed")
+            yield from block(mat, name)
+
+        monkeypatch.setattr(subquo.files, "_emit_matrix_block", failing)
+        target = tmp_path / "out.res"
+        target.write_text("old\n")
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            run_cli(monkeypatch, capsys, "resolution", files["u2.mod"], files["v2.mod"], "-o", str(target))
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.res"]
+
+
 class TestUsageContract:
     """Usage errors exit 1 with nothing on stdout and an `Error:` line on stderr."""
 
@@ -1402,6 +1463,19 @@ class TestUsageContract:
         code, out, err = run_cli(monkeypatch, capsys, "resolution", files["u2.mod"], files["v2.mod"], "--length", "-1")
         assert (code, out) == (1, "")
         assert "Error: argument --length: length must be >= 0, got -1" in err
+
+    def test_output_in_missing_directory_is_usage_error(self, files, tmp_path, monkeypatch, capsys):
+        import subquo.groebner
+
+        def never(*args, **kwargs):
+            raise AssertionError("computed before the output path was checked")
+
+        monkeypatch.setattr(subquo.groebner, "buchberger", never)
+        target = str(tmp_path / "missing" / "out.mod")
+        code, out, err = run_cli(monkeypatch, capsys, "gb", files["u5.mod"], "-o", target)
+        assert (code, out) == (1, "")
+        assert "Error: argument -o/--output: directory of %r does not exist" % target in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, options",
